@@ -5,7 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -18,8 +17,22 @@
 #include "exp/progress.hpp"
 #include "obs/coverage.hpp"
 #include "obs/json.hpp"
+#include "obs/lockfile.hpp"
 
 namespace blunt::exp {
+
+namespace {
+
+/// The resolved shard structure of a run: a pure function of (experiment,
+/// options) — the resolve_trials hook, the default seed and the default
+/// shard size — so a resumed run agrees with the interrupted one on the
+/// exact same shard space.
+struct ShardLayout {
+  std::int64_t trials = 0;
+  std::uint64_t seed = 0;
+  int shard_size = 0;
+  std::int64_t num_shards = 0;
+};
 
 ShardLayout resolve_layout(const Experiment& e, const RunOptions& opts) {
   ShardLayout l;
@@ -33,8 +46,6 @@ ShardLayout resolve_layout(const Experiment& e, const RunOptions& opts) {
   l.num_shards = (l.trials + l.shard_size - 1) / l.shard_size;
   return l;
 }
-
-namespace {
 
 /// One shard, run on whichever worker claimed it. The result depends only on
 /// (experiment, layout, shard index, coverage/profile flags). `trials_done`
@@ -91,11 +102,10 @@ struct ProgressState {
   }
 };
 
-/// Where and how often heartbeat lines go. The sampler shares the run's
-/// single mutex-guarded writer discipline: it is the only thread that writes
-/// the progress file.
+/// Where and how often heartbeat lines go. The sampler is the only thread
+/// that writes the progress file.
 struct ProgressSink {
-  std::ofstream* out = nullptr;
+  std::string path;
   int interval_ms = 500;
   std::int64_t resumed_shards = 0;
 };
@@ -130,11 +140,19 @@ struct ProgressSink {
   return s;
 }
 
-// -- Checkpoint I/O ----------------------------------------------------------
+// -- Journal I/O -------------------------------------------------------------
 
 constexpr const char* kShardSchema = "blunt-exp-shard";
 
-}  // namespace
+/// Appends one record through the journal writer. A checkpoint or progress
+/// file that cannot be written is a broken run, not a skippable shard.
+void append_or_die(const std::string& path, const obs::Json& record) {
+  try {
+    obs::locked_append(path, obs::journal_line(record));
+  } catch (const std::exception& ex) {
+    BLUNT_UNREACHABLE("cannot append to " << path << ": " << ex.what());
+  }
+}
 
 obs::Json shard_checkpoint_line(const Experiment& e, const ShardLayout& l,
                                 std::int64_t shard, const Accumulator& acc) {
@@ -149,40 +167,28 @@ obs::Json shard_checkpoint_line(const Experiment& e, const ShardLayout& l,
   return obs::Json(std::move(o));
 }
 
+/// Every checkpointed shard matching (experiment, seed, trials,
+/// shard_size). Torn, stale and foreign lines are skipped (the shard simply
+/// re-runs); duplicate shard lines keep the last occurrence — harmless,
+/// because a re-run shard contributes identical bits.
 std::map<std::int64_t, Accumulator> load_shard_checkpoint(
     const std::string& path, const Experiment& e, const ShardLayout& l) {
   std::map<std::int64_t, Accumulator> shards;
-  std::ifstream in(path);
-  if (!in) return shards;
-  std::string line;
-  int stale = 0;
-  while (std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    try {
-      const obs::Json j = obs::Json::parse(line);
-      const obs::Json* schema = j.find("schema");
-      if (schema == nullptr || !schema->is_string() ||
-          schema->as_string() != kShardSchema) {
-        ++stale;
-        continue;
-      }
-      if (j.at("experiment").as_string() != e.name ||
-          static_cast<std::uint64_t>(j.at("seed").as_int()) != l.seed ||
-          j.at("trials").as_int() != l.trials ||
-          j.at("shard_size").as_int() != l.shard_size) {
-        ++stale;
-        continue;
-      }
-      const std::int64_t shard = j.at("shard").as_int();
-      if (shard < 0 || shard >= l.num_shards) {
-        ++stale;
-        continue;
-      }
-      shards[shard] = Accumulator::from_json(j.at("accumulator"));
-    } catch (const std::exception&) {
-      ++stale;  // partial line from an interrupted run: re-run that shard
+  const int stale = obs::read_journal(path, [&](const obs::Json& j) {
+    const obs::Json* schema = j.find("schema");
+    if (schema == nullptr || !schema->is_string() ||
+        schema->as_string() != kShardSchema ||
+        j.at("experiment").as_string() != e.name ||
+        static_cast<std::uint64_t>(j.at("seed").as_int()) != l.seed ||
+        j.at("trials").as_int() != l.trials ||
+        j.at("shard_size").as_int() != l.shard_size) {
+      return false;
     }
-  }
+    const std::int64_t shard = j.at("shard").as_int();
+    if (shard < 0 || shard >= l.num_shards) return false;
+    shards[shard] = Accumulator::from_json(j.at("accumulator"));
+    return true;
+  });
   if (stale > 0) {
     std::fprintf(stderr,
                  "exp: checkpoint %s: skipped %d stale/corrupt line(s)\n",
@@ -191,15 +197,12 @@ std::map<std::int64_t, Accumulator> load_shard_checkpoint(
   return shards;
 }
 
-Accumulator run_one_shard(const Experiment& e, const ShardLayout& l,
-                          std::int64_t shard, bool coverage, bool profile) {
-  BLUNT_ASSERT(shard >= 0 && shard < l.num_shards,
-               "shard " << shard << " outside layout of " << l.num_shards);
-  return run_shard(e, l, shard, coverage, profile, nullptr);
-}
-
-Accumulator fold_shards(std::vector<Accumulator> shard_accs,
-                        std::map<std::string, std::vector<std::int64_t>>* growth) {
+/// The fixed merge tree: left fold in ascending shard index. `growth`, when
+/// non-null, receives the per-key cumulative coverage-growth curve computed
+/// inside the same fold.
+Accumulator fold_shards(
+    std::vector<Accumulator> shard_accs,
+    std::map<std::string, std::vector<std::int64_t>>* growth = nullptr) {
   std::set<std::string> keys;
   if (growth != nullptr) {
     for (const Accumulator& acc : shard_accs) {
@@ -219,8 +222,6 @@ Accumulator fold_shards(std::vector<Accumulator> shard_accs,
   return merged;
 }
 
-namespace {
-
 struct PassResult {
   std::vector<Accumulator> shard_accs;  // indexed by shard
   int shards_executed = 0;
@@ -236,15 +237,15 @@ struct PassResult {
 }
 
 /// One full pass over the shard space at `threads` workers. `resumed` shards
-/// are folded in without running. When `checkpoint` is non-null, each newly
-/// completed shard is appended through the single mutex-guarded writer.
+/// are folded in without running. When `checkpoint_path` is non-empty, each
+/// newly completed shard is appended to it through the journal writer.
 /// `progress` (may be null) only receives telemetry writes — it never feeds
 /// back into what a shard computes.
 [[nodiscard]] PassResult run_pass(
     const Experiment& e, const ShardLayout& l, int threads,
     const std::map<std::int64_t, Accumulator>& resumed,
-    std::ofstream* checkpoint, int max_shards, bool coverage, bool profile,
-    ProgressState* progress) {
+    const std::string& checkpoint_path, int max_shards, bool coverage,
+    bool profile, ProgressState* progress) {
   PassResult pass;
   pass.shard_accs.resize(static_cast<std::size_t>(l.num_shards));
   for (const auto& [shard, acc] : resumed) {
@@ -255,7 +256,6 @@ struct PassResult {
   std::atomic<std::int64_t> next_shard{0};
   std::atomic<int> executed{0};
   std::atomic<bool> stopped{false};
-  std::mutex writer_mu;  // the run's single aggregator-side writer
 
   std::atomic<std::int64_t>* trials_done =
       progress != nullptr ? &progress->trials_done : nullptr;
@@ -282,10 +282,8 @@ struct PassResult {
         progress->shards_claimed.fetch_add(1, std::memory_order_relaxed);
       }
       Accumulator acc = run_shard(e, l, s, coverage, profile, trials_done);
-      if (checkpoint != nullptr) {
-        const std::lock_guard<std::mutex> lock(writer_mu);
-        *checkpoint << shard_checkpoint_line(e, l, s, acc).dump() << '\n';
-        checkpoint->flush();
+      if (!checkpoint_path.empty()) {
+        append_or_die(checkpoint_path, shard_checkpoint_line(e, l, s, acc));
       }
       if (progress != nullptr) {
         progress->add_coverage(acc);
@@ -352,8 +350,7 @@ class ProgressSampler {
   }
 
   void write(const ProgressSample& s) {
-    *sink_.out << progress_to_json(s).dump() << '\n';
-    sink_.out->flush();
+    append_or_die(sink_.path, progress_to_json(s));
   }
 
   void loop() {
@@ -388,28 +385,20 @@ RunOutput run_trials(const Experiment& e, const RunOptions& opts) {
   const ShardLayout l = resolve_layout(e, opts);
 
   std::map<std::int64_t, Accumulator> resumed;
-  std::ofstream checkpoint_out;
   if (!opts.checkpoint_path.empty()) {
     resumed = load_shard_checkpoint(opts.checkpoint_path, e, l);
-    checkpoint_out.open(opts.checkpoint_path, std::ios::app);
-    BLUNT_ASSERT(checkpoint_out.good(),
-                 "cannot open checkpoint " << opts.checkpoint_path);
   }
 
   // Telemetry plumbing: the counters always exist when a progress file was
   // requested; trial bodies never see them. The sampler starts before the
   // pass and stops (writing the final done=true record) right after it.
   std::unique_ptr<ProgressState> progress;
-  std::ofstream progress_out;
   std::unique_ptr<ProgressSampler> sampler;
   if (!opts.progress_path.empty()) {
     progress = std::make_unique<ProgressState>(pass_workers(l, opts.threads));
     for (const auto& [shard, acc] : resumed) progress->add_coverage(acc);
-    progress_out.open(opts.progress_path, std::ios::app);
-    BLUNT_ASSERT(progress_out.good(),
-                 "cannot open progress file " << opts.progress_path);
     ProgressSink sink;
-    sink.out = &progress_out;
+    sink.path = opts.progress_path;
     sink.interval_ms = opts.progress_interval_ms;
     sink.resumed_shards = static_cast<std::int64_t>(resumed.size());
     sampler = std::make_unique<ProgressSampler>(e, l, std::max(1, opts.threads),
@@ -417,14 +406,12 @@ RunOutput run_trials(const Experiment& e, const RunOptions& opts) {
   }
 
   PassResult main_pass = run_pass(
-      e, l, opts.threads, resumed,
-      opts.checkpoint_path.empty() ? nullptr : &checkpoint_out, opts.max_shards,
+      e, l, opts.threads, resumed, opts.checkpoint_path, opts.max_shards,
       opts.coverage, opts.profile, progress.get());
 
   if (sampler != nullptr) {
     sampler->finish(main_pass.complete);
     sampler.reset();
-    progress_out.close();
   }
 
   RunOutput out;
@@ -442,12 +429,9 @@ RunOutput run_trials(const Experiment& e, const RunOptions& opts) {
   out.merged = fold_shards(std::move(main_pass.shard_accs),
                            opts.coverage ? &out.info.coverage_growth : nullptr);
 
-  if (!opts.checkpoint_path.empty()) {
-    checkpoint_out.close();
-    if (main_pass.complete) {
-      // The run is whole; the checkpoint has served its purpose.
-      std::remove(opts.checkpoint_path.c_str());
-    }
+  if (!opts.checkpoint_path.empty() && main_pass.complete) {
+    // The run is whole; the checkpoint has served its purpose.
+    std::remove(opts.checkpoint_path.c_str());
   }
 
   if (main_pass.complete && !opts.timing_sweep.empty()) {
@@ -456,7 +440,7 @@ RunOutput run_trials(const Experiment& e, const RunOptions& opts) {
     // component must still match to the bit.
     const std::string want = out.merged.canonical_dump();
     for (const int t : opts.timing_sweep) {
-      PassResult sweep = run_pass(e, l, t, {}, nullptr, 0, opts.coverage,
+      PassResult sweep = run_pass(e, l, t, {}, "", 0, opts.coverage,
                                   opts.profile, nullptr);
       out.info.sweep_wall_ms.emplace_back(std::max(1, t), sweep.wall_ms);
       // Built-in determinism self-check: every thread count must produce

@@ -17,15 +17,15 @@
 //     (threads == 1 exercises the same shard/fold path).
 //
 // Checkpoint/resume is shard-granular: every completed shard is appended to
-// a JSONL checkpoint (one mutex-guarded writer) keyed by
+// a JSONL checkpoint (the obs journal writer, obs/lockfile.hpp) keyed by
 // (experiment, seed, trials, shard_size); a resumed run loads matching
 // shards, skips them, and folds their stored accumulators into the same
 // position of the same merge tree — contributing the same bits as if they
-// had just run.
+// had just run. A run killed at any instant (SIGKILL included) therefore
+// resumes to the bits of an uninterrupted run.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -88,58 +88,5 @@ struct RunOutput {
 /// Runs the trial phase (no finalize, no report). See the file comment for
 /// the determinism contract.
 [[nodiscard]] RunOutput run_trials(const Experiment& e, const RunOptions& opts);
-
-// -- Claim-aware shard primitives --------------------------------------------
-//
-// The building blocks run_trials() composes, exposed so other shard pools —
-// notably the multi-process lease-claiming workers in src/svc — produce
-// results bit-identical to a single run_trials() call. The contract: the
-// layout is a pure function of (experiment, options); a shard's accumulator
-// is a pure function of (experiment, layout, shard index, coverage/profile
-// flags); and fold_shards in ascending shard order is the one merge tree.
-// WHO runs a shard (thread, process, host) never appears in any of them.
-
-/// The resolved shard structure of a run. Same trials/seed/shard_size
-/// resolution as run_trials (resolve_trials hook, default seed, default
-/// shard size), so independent processes pointed at the same options agree
-/// on the exact same shard space.
-struct ShardLayout {
-  std::int64_t trials = 0;
-  std::uint64_t seed = 0;
-  int shard_size = 0;
-  std::int64_t num_shards = 0;
-};
-
-[[nodiscard]] ShardLayout resolve_layout(const Experiment& e,
-                                         const RunOptions& opts);
-
-/// Runs one shard's trials into a fresh accumulator. Pure in (e, l, shard,
-/// coverage, profile) — the same call in any process yields the same bits.
-[[nodiscard]] Accumulator run_one_shard(const Experiment& e,
-                                        const ShardLayout& l,
-                                        std::int64_t shard, bool coverage,
-                                        bool profile);
-
-/// One checkpoint JSONL line for a completed shard — the same record
-/// run_trials appends, so engine checkpoints and svc worker checkpoints are
-/// interchangeable files.
-[[nodiscard]] obs::Json shard_checkpoint_line(const Experiment& e,
-                                              const ShardLayout& l,
-                                              std::int64_t shard,
-                                              const Accumulator& acc);
-
-/// Loads every checkpointed shard matching (experiment, seed, trials,
-/// shard_size). Tolerates torn/stale/foreign lines (they are skipped and the
-/// shard simply re-runs); duplicate shard lines keep the last occurrence —
-/// harmless, because a re-run shard contributes identical bits.
-[[nodiscard]] std::map<std::int64_t, Accumulator> load_shard_checkpoint(
-    const std::string& path, const Experiment& e, const ShardLayout& l);
-
-/// The fixed merge tree: left fold in ascending shard index. `growth`, when
-/// non-null, receives the per-key cumulative coverage-growth curve computed
-/// inside the same fold.
-[[nodiscard]] Accumulator fold_shards(
-    std::vector<Accumulator> shard_accs,
-    std::map<std::string, std::vector<std::int64_t>>* growth = nullptr);
 
 }  // namespace blunt::exp

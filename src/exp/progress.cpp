@@ -1,16 +1,13 @@
 #include "exp/progress.hpp"
 
-#include <glob.h>
-
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <thread>
 #include <utility>
 
 #include "obs/coverage.hpp"
+#include "obs/lockfile.hpp"
 
 namespace blunt::exp {
 
@@ -20,7 +17,6 @@ obs::Json progress_to_json(const ProgressSample& s) {
   o["version"] = obs::Json(kProgressVersion);
   o["experiment"] = obs::Json(s.experiment);
   o["seed"] = obs::Json(obs::fingerprint_to_hex(s.seed));
-  if (!s.worker.empty()) o["worker"] = obs::Json(s.worker);
   o["threads"] = obs::Json(s.threads);
   o["t_ms"] = obs::Json(s.t_ms);
   o["shards_total"] = obs::Json(s.shards_total);
@@ -51,9 +47,6 @@ std::optional<ProgressSample> progress_from_json(const obs::Json& j) {
     ProgressSample s;
     s.experiment = j.at("experiment").as_string();
     s.seed = obs::fingerprint_from_hex(j.at("seed").as_string());
-    if (const obs::Json* w = j.find("worker"); w != nullptr && w->is_string()) {
-      s.worker = w->as_string();
-    }
     s.threads = static_cast<int>(j.at("threads").as_int());
     s.t_ms = j.at("t_ms").as_double();
     s.shards_total = j.at("shards_total").as_int();
@@ -77,26 +70,19 @@ std::optional<ProgressSample> progress_from_json(const obs::Json& j) {
 }
 
 std::optional<ProgressSample> parse_progress_line(const std::string& line) {
-  if (line.find_first_not_of(" \t\r") == std::string::npos) {
-    return std::nullopt;
-  }
-  try {
-    return progress_from_json(obs::Json::parse(line));
-  } catch (const std::exception&) {
-    return std::nullopt;  // torn line from a mid-write read: skip
-  }
+  const std::optional<obs::Json> j = obs::decode_journal_line(line);
+  if (!j) return std::nullopt;  // blank, torn or corrupt line: skip
+  return progress_from_json(*j);
 }
 
 std::optional<ProgressSample> read_last_progress(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
   std::optional<ProgressSample> last;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (std::optional<ProgressSample> s = parse_progress_line(line)) {
-      last = std::move(s);
-    }
-  }
+  (void)obs::read_journal(path, [&last](const obs::Json& j) {
+    std::optional<ProgressSample> s = progress_from_json(j);
+    if (!s) return false;
+    last = std::move(s);
+    return true;
+  });
   return last;
 }
 
@@ -140,12 +126,12 @@ namespace {
 /// and if it never does, every complete line before it has still been
 /// rendered. A file that shrinks (rotated or restarted run) is re-tailed
 /// from the start; a file that does not exist yet simply yields no sample.
+/// Lines decode exactly as read_journal decodes them (parse_progress_line).
 struct TailState {
   std::string path;
   std::uint64_t offset = 0;
   std::string partial;
   std::optional<ProgressSample> latest;
-  bool exists = false;
 
   /// Pulls newly appended bytes and returns the freshest view: the latest
   /// complete line, or — if the trailing fragment already parses whole — the
@@ -154,7 +140,6 @@ struct TailState {
   /// valid one, so it also stays buffered in case more bytes come).
   [[nodiscard]] std::optional<ProgressSample> poll() {
     if (std::ifstream in(path, std::ios::binary); in) {
-      exists = true;
       in.seekg(0, std::ios::end);
       const auto size = static_cast<std::uint64_t>(in.tellg());
       if (size < offset) {
@@ -180,8 +165,6 @@ struct TailState {
         }
         partial.erase(0, start);
       }
-    } else {
-      exists = false;
     }
     std::optional<ProgressSample> s = latest;
     if (!partial.empty()) {
@@ -193,20 +176,6 @@ struct TailState {
   }
 };
 
-/// Shared render-and-terminate step: prints `line` when it changed, then
-/// the newline + exit code when the watch is over.
-struct WatchRenderer {
-  std::FILE* out;
-  std::string last_rendered;
-
-  void render(const std::string& line) {
-    if (line == last_rendered) return;
-    std::fprintf(out, "\r\033[K%s", line.c_str());
-    std::fflush(out);
-    last_rendered = line;
-  }
-};
-
 }  // namespace
 
 int watch_progress(const std::string& path, int poll_ms, std::FILE* out,
@@ -215,138 +184,19 @@ int watch_progress(const std::string& path, int poll_ms, std::FILE* out,
   long polls = 0;
   TailState tail;
   tail.path = path;
-  WatchRenderer renderer{out, {}};
+  std::string last_rendered;
   for (;;) {
     if (std::optional<ProgressSample> s = tail.poll()) {
-      renderer.render(render_status_line(*s));
+      const std::string line = render_status_line(*s);
+      if (line != last_rendered) {
+        std::fprintf(out, "\r\033[K%s", line.c_str());
+        std::fflush(out);
+        last_rendered = line;
+      }
       if (s->done) {
         std::fprintf(out, "\n");
         return 0;
       }
-    }
-    ++polls;
-    if (max_polls > 0 && polls >= max_polls) {
-      std::fprintf(out, "\n");
-      return 1;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
-  }
-}
-
-std::string render_multi_status_line(const std::vector<ProgressSample>& latest) {
-  if (latest.empty()) return "waiting for workers";
-  // Sum what partitions across workers (each shard is executed by exactly
-  // one worker per pass), take the widest view of what does not: every
-  // worker sees the same shards_total, resumed shards were loaded by each
-  // worker independently, and coverage_size is each worker's private union
-  // (the max is a lower bound on the true union).
-  std::int64_t shards_total = 0, shards_resumed = 0, shards_done = 0;
-  std::int64_t trials_total = 0, trials_done = 0, coverage = 0;
-  double rate = 0.0;
-  std::size_t done_count = 0;
-  bool any_complete = false;
-  std::string experiment = latest.front().experiment;
-  for (const ProgressSample& s : latest) {
-    shards_total = std::max(shards_total, s.shards_total);
-    shards_resumed = std::max(shards_resumed, s.shards_resumed);
-    shards_done += s.shards_done;
-    trials_total = std::max(trials_total, s.trials_total);
-    trials_done += s.trials_done;
-    coverage = std::max(coverage, s.coverage_size);
-    rate += s.trials_per_sec;
-    if (s.done) ++done_count;
-    if (s.done && s.complete) any_complete = true;
-  }
-  const std::int64_t covered =
-      std::min(shards_total, shards_done + shards_resumed);
-  const double pct = shards_total > 0
-                         ? 100.0 * static_cast<double>(covered) /
-                               static_cast<double>(shards_total)
-                         : 0.0;
-  char buf[320];
-  if (any_complete || (done_count == latest.size() && done_count > 0)) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s: done (%zu worker%s) — %lld/%lld shards, %lld trials, "
-                  "%.1f trials/s, coverage %lld",
-                  experiment.c_str(), latest.size(),
-                  latest.size() == 1 ? "" : "s",
-                  static_cast<long long>(covered),
-                  static_cast<long long>(shards_total),
-                  static_cast<long long>(trials_done), rate,
-                  static_cast<long long>(coverage));
-  } else {
-    std::snprintf(buf, sizeof(buf),
-                  "%s: %5.1f%% (%zu worker%s, %zu done) — shards %lld/%lld "
-                  "(%lld resumed), %.1f trials/s, coverage %lld",
-                  experiment.c_str(), pct, latest.size(),
-                  latest.size() == 1 ? "" : "s", done_count,
-                  static_cast<long long>(covered),
-                  static_cast<long long>(shards_total),
-                  static_cast<long long>(shards_resumed), rate,
-                  static_cast<long long>(coverage));
-  }
-  return buf;
-}
-
-std::vector<std::string> expand_progress_patterns(
-    const std::vector<std::string>& patterns) {
-  std::vector<std::string> paths;
-  for (const std::string& pat : patterns) {
-    glob_t g{};
-    const int rc = glob(pat.c_str(), GLOB_NOSORT, nullptr, &g);
-    if (rc == 0) {
-      for (std::size_t i = 0; i < g.gl_pathc; ++i) {
-        paths.emplace_back(g.gl_pathv[i]);
-      }
-    } else {
-      // No match (or glob error): keep the pattern verbatim. A literal
-      // path that does not exist yet must still be tracked — the watch
-      // tolerates missing files — and a wildcard that never matches just
-      // stays a missing file forever.
-      paths.push_back(pat);
-    }
-    globfree(&g);
-  }
-  std::sort(paths.begin(), paths.end());
-  paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
-  return paths;
-}
-
-int watch_progress_multi(const std::vector<std::string>& paths, int poll_ms,
-                         std::FILE* out, long max_polls) {
-  if (poll_ms < 10) poll_ms = 10;
-  long polls = 0;
-  // Keyed by expanded path so a file discovered on a later poll (a worker
-  // heartbeat appearing after the watch started) begins a fresh tail while
-  // files seen before keep their incremental offsets.
-  std::map<std::string, TailState> tails;
-  WatchRenderer renderer{out, {}};
-  for (;;) {
-    std::vector<ProgressSample> latest;
-    std::size_t existing = 0, existing_done = 0;
-    bool any_complete = false;
-    for (const std::string& p : expand_progress_patterns(paths)) {
-      TailState& t = tails[p];
-      if (t.path.empty()) t.path = p;
-      std::optional<ProgressSample> s = t.poll();
-      if (t.exists) ++existing;
-      if (s) {
-        if (s->done) {
-          ++existing_done;
-          if (s->complete) any_complete = true;
-        }
-        latest.push_back(std::move(*s));
-      }
-    }
-    renderer.render(render_multi_status_line(latest));
-    // Finished when every file that exists has signed off, or any worker
-    // observed the whole run complete (the finalizer's record — also covers
-    // a killed worker whose own done record will never come).
-    if (any_complete ||
-        (existing > 0 && !latest.empty() && existing_done == existing &&
-         latest.size() == existing)) {
-      std::fprintf(out, "\n");
-      return 0;
     }
     ++polls;
     if (max_polls > 0 && polls >= max_polls) {

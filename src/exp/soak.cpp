@@ -1,12 +1,13 @@
-#include "svc/soak.hpp"
+#include "exp/soak.hpp"
 
+#include <fcntl.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <stdexcept>
 #include <utility>
 
@@ -15,7 +16,7 @@
 #include "obs/json.hpp"
 #include "obs/lockfile.hpp"
 
-namespace blunt::svc {
+namespace blunt::exp {
 
 namespace {
 
@@ -61,15 +62,34 @@ namespace {
 void regen_dashboard(const SoakOptions& opts) {
   const std::string dir = self_dir();
   if (dir.empty()) return;
-  const std::string report_bin = dir + "/blunt_report";
+  std::string report_bin = dir + "/blunt_report";
   if (::access(report_bin.c_str(), X_OK) != 0) {
     return;  // running from an install layout without the sibling: skip
   }
+  // An argv, not a shell string: the bench dir reaches blunt_report
+  // verbatim whatever characters it holds. Everything the child touches is
+  // built before fork(), so the child only calls async-signal-safe
+  // functions on its way to execv.
+  std::string bench_dir = opts.bench_dir;
+  char flag_dir[] = "--bench-dir";
+  char flag_no_gate[] = "--no-gate";
+  char* const argv[] = {report_bin.data(), flag_dir, bench_dir.data(),
+                        flag_no_gate, nullptr};
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    const int devnull = ::open("/dev/null", O_WRONLY | O_CLOEXEC);
+    if (devnull >= 0) {
+      ::dup2(devnull, STDOUT_FILENO);
+      ::dup2(devnull, STDERR_FILENO);
+    }
+    ::execv(argv[0], argv);
+    ::_exit(127);
+  }
   // --no-gate: the soak is an observer. A failed render must not stop the
   // rotation either, so the exit status is advisory.
-  const std::string cmd = "'" + report_bin + "' --bench-dir '" +
-                          opts.bench_dir + "' --no-gate >/dev/null 2>&1";
-  if (std::system(cmd.c_str()) != 0) {
+  int status = 0;
+  if (pid < 0 || ::waitpid(pid, &status, 0) != pid || !WIFEXITED(status) ||
+      WEXITSTATUS(status) != 0) {
     std::fprintf(stderr, "soak: dashboard regen failed (continuing)\n");
   }
 }
@@ -93,33 +113,26 @@ bool parse_rotation_entry(const std::string& arg, RotationEntry* out) {
   return true;
 }
 
-std::int64_t load_soak_position(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return 0;
-  std::int64_t position = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    try {
-      const obs::Json j = obs::Json::parse(line);
-      const obs::Json* schema = j.find("schema");
-      if (schema == nullptr || !schema->is_string() ||
-          schema->as_string() != kSoakSchema) {
-        continue;
-      }
-      // Passes append in order, but take the max anyway: a replayed or
-      // hand-merged state file must never move the rotation backwards.
-      position = std::max(position, j.at("pass").as_int() + 1);
-    } catch (const std::exception&) {
-      // Torn record from a kill mid-append: that pass will simply re-run
-      // (resuming its checkpoint), which is the safe direction.
+SoakPosition load_soak_position(const std::string& path) {
+  SoakPosition pos;
+  // A torn record from a kill mid-append is skipped: that pass simply
+  // re-runs (resuming its checkpoint), which is the safe direction.
+  pos.skipped_lines = obs::read_journal(path, [&pos](const obs::Json& j) {
+    const obs::Json* schema = j.find("schema");
+    if (schema == nullptr || !schema->is_string() ||
+        schema->as_string() != kSoakSchema) {
+      return false;
     }
-  }
-  return position;
+    // Passes append in order, but take the max anyway: a replayed or
+    // hand-merged state file must never move the rotation backwards.
+    pos.passes = std::max(pos.passes, j.at("pass").as_int() + 1);
+    return true;
+  });
+  return pos;
 }
 
 std::uint64_t soak_pass_seed(std::uint64_t base_seed, std::int64_t pass_index) {
-  return exp::splitmix64(base_seed ^ static_cast<std::uint64_t>(pass_index));
+  return splitmix64(base_seed ^ static_cast<std::uint64_t>(pass_index));
 }
 
 SoakResult run_soak(const SoakOptions& opts) {
@@ -129,9 +142,9 @@ SoakResult run_soak(const SoakOptions& opts) {
     res.exit_code = 2;
     return res;
   }
-  exp::register_builtin_experiments();
+  register_builtin_experiments();
   for (const RotationEntry& entry : opts.rotation) {
-    if (exp::find_experiment(entry.experiment) == nullptr) {
+    if (find_experiment(entry.experiment) == nullptr) {
       std::fprintf(stderr, "soak: unknown experiment '%s'\n",
                    entry.experiment.c_str());
       res.exit_code = 2;
@@ -141,7 +154,7 @@ SoakResult run_soak(const SoakOptions& opts) {
   ::setenv("BLUNT_BENCH_DIR", opts.bench_dir.c_str(), /*overwrite=*/1);
 
   const std::string state = state_path(opts);
-  res.passes_total = load_soak_position(state);
+  res.passes_total = load_soak_position(state).passes;
   const auto t0 = std::chrono::steady_clock::now();
   const auto elapsed_ms = [&t0]() -> std::int64_t {
     return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -157,7 +170,7 @@ SoakResult run_soak(const SoakOptions& opts) {
     const RotationEntry& entry =
         opts.rotation[static_cast<std::size_t>(pass) % opts.rotation.size()];
 
-    exp::RunOptions run;
+    RunOptions run;
     run.threads = opts.threads;
     run.trials = entry.trials;
     run.has_seed = true;
@@ -173,7 +186,7 @@ SoakResult run_soak(const SoakOptions& opts) {
                 static_cast<long long>(pass), entry.experiment.c_str(),
                 static_cast<unsigned long long>(run.seed));
     const std::int64_t pass_t0 = elapsed_ms();
-    const int rc = exp::run_registered(entry.experiment, run);
+    const int rc = run_registered(entry.experiment, run);
     const double wall_ms = static_cast<double>(elapsed_ms() - pass_t0);
     if (rc != 0 && res.exit_code == 0) res.exit_code = rc;
 
@@ -185,8 +198,8 @@ SoakResult run_soak(const SoakOptions& opts) {
     try {
       obs::locked_append(
           state,
-          pass_record(entry, pass, run.seed, run.trials, wall_ms, rc).dump() +
-              "\n",
+          obs::journal_line(
+              pass_record(entry, pass, run.seed, run.trials, wall_ms, rc)),
           p);
     } catch (const std::exception& ex) {
       std::fprintf(stderr, "soak: state append failed: %s\n", ex.what());
@@ -205,4 +218,4 @@ SoakResult run_soak(const SoakOptions& opts) {
   return res;
 }
 
-}  // namespace blunt::svc
+}  // namespace blunt::exp

@@ -6,13 +6,14 @@
 // provenance-stamped entry to BENCH_HISTORY.jsonl — the soak literally IS
 // repeated bench runs, and blunt_report's per-metric sparklines become
 // drift-over-time charts for free. After each pass the driver re-renders
-// the dashboard by exec'ing the sibling blunt_report binary (--no-gate:
-// the soak observes trends, it does not gate).
+// the dashboard by exec'ing the sibling blunt_report binary with a plain
+// argv — no shell, so any --bench-dir name is passed through verbatim
+// (--no-gate: the soak observes trends, it does not gate).
 //
 // Crash tolerance mirrors the rest of the repo: the rotation position
-// lives in SOAK_STATE.jsonl (append-only pass records, torn lines
-// skipped), and the in-flight pass checkpoints shards under a pass-indexed
-// name. SIGKILL at any point, restart with the same flags, and the driver
+// lives in SOAK_STATE.jsonl (a journal of pass records, obs/lockfile.hpp:
+// torn lines skipped), and the in-flight pass checkpoints shards under a
+// pass-indexed name. SIGKILL at any point, restart with the same flags, and the driver
 // re-derives: completed passes from the state file, the interrupted pass's
 // finished shards from its checkpoint (same pass index -> same derived
 // seed -> resumed shards contribute identical bits).
@@ -27,7 +28,7 @@
 #include <string>
 #include <vector>
 
-namespace blunt::svc {
+namespace blunt::exp {
 
 inline constexpr const char* kSoakSchema = "blunt-soak-pass";
 inline constexpr int kSoakVersion = 1;
@@ -66,8 +67,14 @@ struct SoakResult {
   int exit_code = 0;  // first failing pass's code, 0 when all clean
 };
 
-/// Completed-pass count recorded in the state file (the rotation position).
-[[nodiscard]] std::int64_t load_soak_position(const std::string& state_path);
+/// What the state file records: the rotation position (completed-pass
+/// count) and the number of lines the journal reader skipped.
+struct SoakPosition {
+  std::int64_t passes = 0;
+  int skipped_lines = 0;
+};
+
+[[nodiscard]] SoakPosition load_soak_position(const std::string& state_path);
 
 /// The seed pass `pass_index` runs under.
 [[nodiscard]] std::uint64_t soak_pass_seed(std::uint64_t base_seed,
@@ -76,4 +83,4 @@ struct SoakResult {
 /// Runs the soak loop described in the file comment.
 [[nodiscard]] SoakResult run_soak(const SoakOptions& opts);
 
-}  // namespace blunt::svc
+}  // namespace blunt::exp

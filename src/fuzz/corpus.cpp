@@ -125,14 +125,13 @@ class Fnv {
   std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
-/// The ledger's torn-line defense: O_APPEND + one write() under the hardened
-/// bounded-retry flock (obs/lockfile.hpp — EINTR-safe, contention counted in
-/// obs::lock_retries()).
-void append_line(const std::string& path, const std::string& line) {
+/// The journal writer (obs/lockfile.hpp), pid-seeded so concurrent
+/// processes back off out of lockstep.
+void append_record(const std::string& path, const obs::Json& record) {
   obs::LockRetryPolicy p;
   p.seed = static_cast<std::uint64_t>(::getpid());
   try {
-    obs::locked_append(path, line, p);
+    obs::locked_append(path, obs::journal_line(record), p);
   } catch (const std::exception&) {
     throw std::runtime_error("fuzz corpus: append failed for " + path);
   }
@@ -234,38 +233,27 @@ ViolationRecord violation_from_json(const obs::Json& j) {
 }
 
 void append_entry(const std::string& path, const CorpusEntry& e) {
-  append_line(path, entry_to_json(e).dump() + "\n");
+  append_record(path, entry_to_json(e));
 }
 
 void append_violation(const std::string& path, const ViolationRecord& v) {
-  append_line(path, violation_to_json(v).dump() + "\n");
+  append_record(path, violation_to_json(v));
 }
 
 Corpus load_corpus(const std::string& path) {
   Corpus c;
-  std::ifstream in(path);
-  if (!in) return c;  // missing journal: empty corpus
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    try {
-      const obs::Json j = obs::Json::parse(line);
-      const obs::Json* schema = j.find("schema");
-      if (schema == nullptr || !schema->is_string()) {
-        ++c.skipped_lines;
-        continue;
-      }
-      if (schema->as_string() == kEntrySchema) {
-        c.entries.push_back(entry_from_json(j));
-      } else if (schema->as_string() == kViolationSchema) {
-        c.violations.push_back(violation_from_json(j));
-      } else {
-        ++c.skipped_lines;
-      }
-    } catch (const std::exception&) {
-      ++c.skipped_lines;  // torn / corrupted line: skip, never crash
+  c.skipped_lines = obs::read_journal(path, [&c](const obs::Json& j) {
+    const obs::Json* schema = j.find("schema");
+    if (schema == nullptr || !schema->is_string()) return false;
+    if (schema->as_string() == kEntrySchema) {
+      c.entries.push_back(entry_from_json(j));
+    } else if (schema->as_string() == kViolationSchema) {
+      c.violations.push_back(violation_from_json(j));
+    } else {
+      return false;
     }
-  }
+    return true;
+  });
   return c;
 }
 
@@ -308,10 +296,10 @@ void write_compacted(const Corpus& c, const std::string& path) {
   compact(canon);
   std::ostringstream out;
   for (const CorpusEntry& e : canon.entries) {
-    out << entry_to_json(e).dump() << "\n";
+    out << obs::journal_line(entry_to_json(e));
   }
   for (const ViolationRecord& v : canon.violations) {
-    out << violation_to_json(v).dump() << "\n";
+    out << obs::journal_line(violation_to_json(v));
   }
   const std::string tmp = path + ".tmp";
   {

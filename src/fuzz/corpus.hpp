@@ -9,9 +9,10 @@
 //     deadlock, non-termination) together with its ddmin-shrunk schedule
 //     and the pretty-printed scripted-adversary repro.
 //
-// Persistence discipline is the ledger's (obs/ledger.cpp): each record is
-// ONE line appended with O_APPEND + a single write() under an advisory
-// flock, so concurrent shard threads (or processes) never tear a line; the
+// Persistence is the journal layer's (obs/lockfile.hpp): each record is ONE
+// CRC-framed line appended with O_APPEND + a single write() under an
+// advisory flock, so concurrent shard threads (or processes) never tear a
+// line and a torn tail from a kill -9 is sealed off by the next append; the
 // loader skips blank/partial/foreign lines instead of failing, so a journal
 // truncated by a crash is still loadable and a resumed run simply appends
 // again (duplicates are fine, see below).
@@ -78,7 +79,7 @@ struct ViolationRecord {
 [[nodiscard]] obs::Json violation_to_json(const ViolationRecord& v);
 [[nodiscard]] ViolationRecord violation_from_json(const obs::Json& j);
 
-/// Appends one record as a single line (flock + O_APPEND single write).
+/// Appends one record as a single journal line (obs::locked_append).
 /// Throws std::runtime_error on I/O failure.
 void append_entry(const std::string& path, const CorpusEntry& e);
 void append_violation(const std::string& path, const ViolationRecord& v);
@@ -87,7 +88,7 @@ void append_violation(const std::string& path, const ViolationRecord& v);
 struct Corpus {
   std::vector<CorpusEntry> entries;
   std::vector<ViolationRecord> violations;
-  int skipped_lines = 0;  // blank, torn, or foreign lines tolerated
+  int skipped_lines = 0;  // torn, corrupt or foreign lines (blank: ignored)
 };
 
 /// Torn-line-tolerant load; a missing file is an empty corpus.

@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <fstream>
 #include <stdexcept>
 #include <utility>
 
@@ -114,25 +113,13 @@ LedgerEntry entry_from_json(const Json& j) {
 }
 
 void append_entry(const std::string& path, const LedgerEntry& e) {
-  // Torn-line hazard: concurrent appenders (parallel benches, engine shards,
-  // CI jobs sharing a ledger) must never interleave mid-line, or the loader
-  // silently skips both halves. Two defenses, together:
-  //   1. O_APPEND + ONE write() of the whole line. POSIX makes the
-  //      seek+write atomic, so on local filesystems the line lands
-  //      contiguously whenever the kernel completes it in one go.
-  //   2. An advisory flock() around the write, covering the cases O_APPEND
-  //      alone does not guarantee (short writes, NFS): concurrent
-  //      append_entry callers serialize, and a short write is retried while
-  //      still holding the lock, keeping the line contiguous.
-  // The experiment engine additionally routes all of a run's shard results
-  // through a single aggregator-side append, so engine parallelism never
-  // multiplies writers in the first place. The flock acquisition is the
-  // hardened bounded-retry one (obs/lockfile.hpp): contended or interrupted
-  // attempts back off with pid-seeded jitter and count into lock_retries().
+  // The journal writer (obs/lockfile.hpp): one flock'd O_APPEND write per
+  // line, a torn tail sealed first, a CRC frame on the line. The
+  // pid-seeded backoff jitter keeps concurrent processes out of lockstep.
   LockRetryPolicy p;
   p.seed = static_cast<std::uint64_t>(::getpid());
   try {
-    locked_append(path, entry_to_json(e).dump() + "\n", p);
+    locked_append(path, journal_line(entry_to_json(e)), p);
   } catch (const std::exception&) {
     throw std::runtime_error("ledger: append failed for " + path);
   }
@@ -162,23 +149,11 @@ std::string append_report(const Json& report_json) {
 
 Ledger load_ledger(const std::string& path) {
   Ledger ledger;
-  std::ifstream in(path);
-  if (!in) return ledger;  // a missing ledger is simply empty
-  std::string line;
-  while (std::getline(in, line)) {
-    // Blank lines are tolerated silently (trailing newline, manual edits).
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    try {
-      Json j = Json::parse(line);
-      if (!validate_entry_json(j).empty()) {
-        ++ledger.skipped_lines;
-        continue;
-      }
-      ledger.entries.push_back(entry_from_json(j));
-    } catch (const std::exception&) {
-      ++ledger.skipped_lines;  // partial / corrupted line: skip, never crash
-    }
-  }
+  ledger.skipped_lines = read_journal(path, [&ledger](const Json& j) {
+    if (!validate_entry_json(j).empty()) return false;
+    ledger.entries.push_back(entry_from_json(j));
+    return true;
+  });
   return ledger;
 }
 

@@ -13,9 +13,9 @@
 //    "hostname": "<string>", "build_flavor": "<CMAKE_BUILD_TYPE>",
 //    "report": { <full blunt-bench-report document> }}
 //
-// The file is append-only by design: concurrent benches append whole lines,
-// and the loader tolerates (counts, skips) corrupted or partial lines so a
-// crashed run can never poison the history.
+// The file is a journal (obs/lockfile.hpp): concurrent benches append whole
+// CRC-framed lines, and the loader tolerates (counts, skips) corrupted or
+// partial lines so a crashed run can never poison the history.
 #pragma once
 
 #include <cstdint>
@@ -53,12 +53,9 @@ struct LedgerEntry {
 /// Parses one ledger line that already passed validate_entry_json.
 [[nodiscard]] LedgerEntry entry_from_json(const Json& j);
 
-/// Appends one entry as a single line; creates the file if needed. The
-/// append is torn-line safe under concurrency: the whole line goes through
-/// one write() on an O_APPEND descriptor, serialized by an advisory flock(),
-/// so concurrent appenders (processes or threads) can never interleave
-/// mid-line. Throws std::runtime_error when the file cannot be opened or
-/// written.
+/// Appends one entry as a single journal line (obs::locked_append); creates
+/// the file if needed. Throws std::runtime_error when the file cannot be
+/// opened or written.
 void append_entry(const std::string& path, const LedgerEntry& e);
 
 /// Ledger location policy: $BLUNT_LEDGER_PATH wins; otherwise

@@ -139,10 +139,6 @@ void BenchReport::set_profile(const std::string& key, Json v) {
   profile_[key] = std::move(v);
 }
 
-void BenchReport::set_worker(const std::string& worker_id, Json v) {
-  workers_[worker_id] = std::move(v);
-}
-
 Json BenchReport::to_json() const {
   JsonObject o;
   o["schema"] = Json("blunt-bench-report");
@@ -156,7 +152,6 @@ Json BenchReport::to_json() const {
   // reports, baselines, and their comparisons are untouched.
   if (!coverage_.empty()) o["coverage"] = Json(coverage_);
   if (!profile_.empty()) o["profile"] = Json(profile_);
-  if (!workers_.empty()) o["workers"] = Json(workers_);
   return Json(std::move(o));
 }
 
@@ -246,12 +241,6 @@ std::string validate_report_json(const Json& j) {
   if (const Json* prof = j.find("profile");
       prof != nullptr && !prof->is_object()) {
     return "section \"profile\" present but not an object";
-  }
-  // And "workers": optional per-worker shard attribution, object when
-  // present.
-  if (const Json* workers = j.find("workers");
-      workers != nullptr && !workers->is_object()) {
-    return "section \"workers\" present but not an object";
   }
   return "";
 }

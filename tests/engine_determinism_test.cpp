@@ -1,16 +1,24 @@
 // The experiment engine's determinism contract (src/exp): merged results are
 // bit-identical for every --threads value, seeds derive purely from
 // (experiment_seed, trial_index), checkpoint/resume reproduces the same
-// bits, and the builtin experiments' reports carry thread-count-independent
-// metrics sections.
+// bits — through a torn checkpoint tail and a SIGKILL mid-run too — and the
+// builtin experiments' reports carry thread-count-independent metrics
+// sections.
 #include "exp/engine.hpp"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "exp/seed.hpp"
 #include "obs/report.hpp"
@@ -222,6 +230,74 @@ TEST(EngineCheckpoint, MismatchedCheckpointLinesAreIgnored) {
   EXPECT_EQ(out.info.shards_resumed, 0);
   EXPECT_EQ(out.merged.to_json().dump(),
             run_trials(e, opts_with(2)).merged.to_json().dump());
+}
+
+TEST(EngineCheckpoint, TornTailIsSealedByTheNextShard) {
+  const Experiment e = make_synthetic();
+  TempCheckpoint cp("torn_tail");
+  RunOptions o = opts_with(1);
+  o.checkpoint_path = cp.path();
+  o.max_shards = 1;
+  // Shard 0's line, then a kill mid-append (a fragment with no newline),
+  // then shard 1's line from the resumed run.
+  ASSERT_FALSE(run_trials(e, o).info.complete);
+  {
+    std::ofstream out(cp.path(), std::ios::app | std::ios::binary);
+    out << "{\"schema\":\"blunt-exp-shard\",\"accum";
+  }
+  ASSERT_FALSE(run_trials(e, o).info.complete);
+
+  // Both whole shard lines resume; only the fragment is skipped.
+  ::testing::internal::CaptureStderr();
+  const RunOutput third = run_trials(e, o);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(third.info.shards_resumed, 2);
+  EXPECT_NE(err.find("skipped 1 stale/corrupt line(s)"), std::string::npos)
+      << err;
+}
+
+TEST(EngineCheckpoint, KilledMidRunResumesBitIdentical) {
+  // A per-trial sleep makes the run long enough (12 shards of ~24 ms) for a
+  // SIGKILL to land mid-run; it changes nothing the accumulator sees.
+  Experiment e = make_synthetic(96);
+  const auto inner = e.trial;
+  e.trial = [inner](const TrialContext& ctx, Accumulator& acc) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    inner(ctx, acc);
+  };
+  TempCheckpoint cp("killed");
+  RunOptions o = opts_with(1, /*shard_size=*/8);
+  o.checkpoint_path = cp.path();
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    (void)run_trials(e, o);
+    std::_Exit(0);
+  }
+  // kill -9 as soon as at least one shard line has landed: no cleanup, and
+  // possibly a torn line from the append in flight.
+  const auto has_line = [&cp] {
+    std::ifstream in(cp.path(), std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    return bytes.find('\n') != std::string::npos;
+  };
+  for (int i = 0; i < 5000 && !has_line(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(::kill(pid, SIGKILL), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(status)) << "the run finished before the kill";
+
+  const RunOutput resumed = run_trials(e, o);
+  EXPECT_TRUE(resumed.info.complete);
+  EXPECT_GE(resumed.info.shards_resumed, 1);
+  EXPECT_LT(resumed.info.shards_resumed, resumed.info.shards_total);
+  EXPECT_EQ(resumed.merged.canonical_dump(),
+            run_trials(e, opts_with(1, /*shard_size=*/8))
+                .merged.canonical_dump());
 }
 
 TEST(BuiltinExperiments, Theorem42MetricsThreadCountIndependent) {

@@ -131,6 +131,25 @@ TEST(CorpusJournal, ToleratesTornAndForeignLines) {
   EXPECT_GE(c.skipped_lines, 2);  // foreign + torn (blank may also count)
 }
 
+TEST(CorpusJournal, TornTailIsSealedByTheNextAppend) {
+  // A writer killed mid-append leaves a fragment with no newline. The next
+  // append must seal it into a line of its own, not glue its record onto it.
+  TempFile f("torn_tail");
+  append_entry(f.path(), make_entry(1, 1));
+  {
+    std::ofstream out(f.path(), std::ios::app | std::ios::binary);
+    out << "{\"schema\":\"blunt-fuzz-corpus-entry\",\"tar";
+  }
+  append_violation(f.path(), make_violation(2, 2));
+
+  const Corpus c = load_corpus(f.path());
+  ASSERT_EQ(c.entries.size(), 1u);
+  ASSERT_EQ(c.violations.size(), 1u);
+  EXPECT_EQ(c.entries[0], make_entry(1, 1));
+  EXPECT_EQ(c.violations[0], make_violation(2, 2));
+  EXPECT_EQ(c.skipped_lines, 1);
+}
+
 TEST(CorpusJournal, ConcurrentAppendsNeverTearALine) {
   TempFile f("concurrent");
   constexpr int kThreads = 8;
@@ -206,13 +225,9 @@ TEST(CorpusCompaction, KillAndResumeYieldsByteIdenticalCorpus) {
     std::ofstream out(crashed.path(), std::ios::app | std::ios::binary);
     out << "{\"record\":\"fuzz_entry\",\"target\":\"ab";  // torn
   }
-  {
-    // The torn tail has no newline; the resumed writer's O_APPEND line lands
-    // after it, corrupting exactly one line (the torn one), which load
-    // skips. Re-append the full set, as a resume re-running all shards does.
-    std::ofstream out(crashed.path(), std::ios::app | std::ios::binary);
-    out << "\n";
-  }
+  // The torn tail has no newline; the resumed writer seals it into a line of
+  // its own before appending, so load skips exactly that line. Re-append the
+  // full set, as a resume re-running all shards does.
   for (int i = 0; i < 6; ++i) {
     append_entry(crashed.path(),
                  make_entry(static_cast<std::uint64_t>(i), i));
@@ -220,7 +235,7 @@ TEST(CorpusCompaction, KillAndResumeYieldsByteIdenticalCorpus) {
   append_violation(crashed.path(), make_violation(9, 5));
 
   const Corpus loaded = load_corpus(crashed.path());
-  EXPECT_GE(loaded.skipped_lines, 1);  // the torn line
+  EXPECT_EQ(loaded.skipped_lines, 1);  // the torn line
 
   TempFile cc("compact_clean");
   TempFile cr("compact_resumed");

@@ -95,6 +95,44 @@ TEST(Ledger, CorruptedLinesAreSkippedAndCounted) {
   EXPECT_EQ(ledger.entries[1].stamp.git_sha, "bbb");
 }
 
+TEST(Ledger, TornTailIsSealedByTheNextAppend) {
+  // A writer killed mid-append leaves a fragment with no newline. The next
+  // append must seal it into a line of its own, not glue its entry onto it.
+  TempFile f("torn_tail");
+  append_entry(f.path(), {stamp("aaa", 100), make_report("b1", 0.5, 10.0)});
+  {
+    std::ofstream out(f.path(), std::ios::app | std::ios::binary);
+    out << "{\"schema\":\"blunt-ledger-entry\",\"git_";
+  }
+  append_entry(f.path(), {stamp("bbb", 200), make_report("b1", 0.6, 11.0)});
+
+  const Ledger ledger = load_ledger(f.path());
+  ASSERT_EQ(ledger.entries.size(), 2u);
+  EXPECT_EQ(ledger.entries[0].stamp.git_sha, "aaa");
+  EXPECT_EQ(ledger.entries[1].stamp.git_sha, "bbb");
+  EXPECT_EQ(ledger.skipped_lines, 1);
+}
+
+TEST(Ledger, EntriesWrittenBeforeFramingStillLoad) {
+  // A line from before the journal frame existed: plain compact JSON with
+  // no "crc32" member, carrying the retired per-worker "workers" section.
+  TempFile f("legacy");
+  JsonObject report = make_report("b1", 0.5, 10.0).as_object();
+  JsonObject workers;
+  workers["host:42"] = Json(JsonObject{{"shards", Json(3)}});
+  report["workers"] = Json(workers);
+  {
+    std::ofstream out(f.path());
+    out << entry_to_json({stamp("aaa", 100), Json(report)}).dump() << "\n";
+  }
+  const Ledger ledger = load_ledger(f.path());
+  ASSERT_EQ(ledger.entries.size(), 1u);
+  EXPECT_EQ(ledger.skipped_lines, 0);
+  EXPECT_EQ(ledger.entries[0].report.at("metrics").at("bad_probability")
+                .as_double(),
+            0.5);
+}
+
 TEST(Ledger, ConcurrentAppendsNeverTearLines) {
   // 8 threads x 50 appends hammering one file. The single-write()-under-
   // flock append means every line must load back whole: 400 entries, zero

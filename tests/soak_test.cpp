@@ -1,7 +1,7 @@
-// The soak driver (src/svc/soak.hpp): rotation parsing, pass-seed
+// The soak driver (src/exp/soak.hpp): rotation parsing, pass-seed
 // derivation, crash-tolerant position reload, and the full run_soak loop
 // (pass records + ledger appends + resume) against a synthetic experiment.
-#include "svc/soak.hpp"
+#include "exp/soak.hpp"
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -16,7 +16,7 @@
 #include "obs/json.hpp"
 #include "obs/ledger.hpp"
 
-namespace blunt::svc {
+namespace blunt::exp {
 namespace {
 
 TEST(SoakRotation, ParsesNameAndOptionalTrials) {
@@ -44,14 +44,15 @@ TEST(SoakSeed, PureAndPassDistinct) {
   EXPECT_EQ(soak_pass_seed(base, 0), soak_pass_seed(base, 0));
   EXPECT_NE(soak_pass_seed(base, 0), soak_pass_seed(base, 1));
   EXPECT_EQ(soak_pass_seed(base, 7),
-            exp::splitmix64(base ^ static_cast<std::uint64_t>(7)));
+            splitmix64(base ^ static_cast<std::uint64_t>(7)));
 }
 
 TEST(SoakState, PositionReloadsFromRecordsAndSkipsTornLines) {
   const std::string path =
       std::string(::testing::TempDir()) + "blunt_soak_state.jsonl";
   std::remove(path.c_str());
-  EXPECT_EQ(load_soak_position(path), 0);  // missing file: fresh rotation
+  // A missing file is a fresh rotation.
+  EXPECT_EQ(load_soak_position(path).passes, 0);
   {
     std::ofstream out(path);
     out << "{\"schema\":\"blunt-soak-pass\",\"version\":1,\"pass\":0}\n";
@@ -60,8 +61,66 @@ TEST(SoakState, PositionReloadsFromRecordsAndSkipsTornLines) {
     out << "{\"schema\":\"blunt-soak-pass\",\"pa";      // torn by a kill
     out << "\n{\"schema\":\"blunt-soak-pass\",\"version\":1,\"pass\":1}\n";
   }
-  EXPECT_EQ(load_soak_position(path), 2);
+  EXPECT_EQ(load_soak_position(path).passes, 2);
   std::remove(path.c_str());
+}
+
+/// Registers a fast synthetic experiment under a name no builtin uses (the
+/// registry is last-wins and register_builtin_experiments never removes, so
+/// it stays addressable through run_registered).
+void register_synthetic() {
+  Experiment e;
+  e.name = "soak_synth_test";
+  e.description = "soak test workload";
+  e.default_trials = 64;
+  e.default_seed = 5;
+  e.default_shard_size = 16;
+  e.trial = [](const TrialContext& ctx, Accumulator& acc) {
+    acc.counter("n") += 1;
+    acc.stat("x").add(static_cast<double>(ctx.seed % 101));
+  };
+  e.finalize = [](obs::BenchReport& report, const Accumulator& acc,
+                  const RunInfo&) {
+    report.set_metric("n", static_cast<double>(acc.counter_or("n")));
+    return 0;
+  };
+  register_experiment(e);
+}
+
+TEST(SoakState, TornTailIsSealedByTheNextPass) {
+  register_synthetic();
+  const std::string dir =
+      std::string(::testing::TempDir()) + "blunt_soak_torn";
+  ::mkdir(dir.c_str(), 0755);
+  const std::string state = dir + "/SOAK_STATE.jsonl";
+  std::remove(state.c_str());
+  ::setenv("BLUNT_LEDGER", "0", /*overwrite=*/1);
+
+  SoakOptions opts;
+  RotationEntry entry;
+  ASSERT_TRUE(parse_rotation_entry("soak_synth_test:16", &entry));
+  opts.rotation.push_back(entry);
+  opts.bench_dir = dir;
+  opts.regen_dashboard = false;
+
+  // Pass 0's record, then a kill mid-append of the next record (a fragment
+  // with no newline), then pass 1 appended by the restarted driver.
+  opts.max_passes = 1;
+  ASSERT_EQ(run_soak(opts).passes_total, 1);
+  {
+    std::ofstream out(state, std::ios::app | std::ios::binary);
+    out << "{\"schema\":\"blunt-soak-pass\",\"pa";
+  }
+  opts.max_passes = 2;
+  ASSERT_EQ(run_soak(opts).passes_total, 2);
+
+  // Both whole records survive; only the fragment is skipped.
+  const SoakPosition pos = load_soak_position(state);
+  EXPECT_EQ(pos.passes, 2);
+  EXPECT_EQ(pos.skipped_lines, 1);
+  ::unsetenv("BLUNT_LEDGER");
+  std::remove(state.c_str());
+  std::remove((dir + "/BENCH_soak_synth_test.json").c_str());
 }
 
 TEST(SoakLoop, UnknownExperimentFailsFast) {
@@ -76,25 +135,7 @@ TEST(SoakLoop, UnknownExperimentFailsFast) {
 }
 
 TEST(SoakLoop, PassesAppendStateAndLedgerAndResumeContinues) {
-  // A fast synthetic experiment registered under a name no builtin uses
-  // (the registry is last-wins and register_builtin_experiments never
-  // removes, so it stays addressable through run_registered).
-  exp::Experiment e;
-  e.name = "soak_synth_test";
-  e.description = "soak test workload";
-  e.default_trials = 64;
-  e.default_seed = 5;
-  e.default_shard_size = 16;
-  e.trial = [](const exp::TrialContext& ctx, exp::Accumulator& acc) {
-    acc.counter("n") += 1;
-    acc.stat("x").add(static_cast<double>(ctx.seed % 101));
-  };
-  e.finalize = [](obs::BenchReport& report, const exp::Accumulator& acc,
-                  const exp::RunInfo&) {
-    report.set_metric("n", static_cast<double>(acc.counter_or("n")));
-    return 0;
-  };
-  exp::register_experiment(e);
+  register_synthetic();
 
   const std::string dir = std::string(::testing::TempDir()) + "blunt_soak_run";
   ::mkdir(dir.c_str(), 0755);
@@ -125,7 +166,7 @@ TEST(SoakLoop, PassesAppendStateAndLedgerAndResumeContinues) {
 
   // Two pass records, each carrying the pass-derived seed and the trial
   // override; the pass-indexed checkpoints were consumed by the engine.
-  EXPECT_EQ(load_soak_position(state), 2);
+  EXPECT_EQ(load_soak_position(state).passes, 2);
   {
     std::ifstream in(state);
     std::string line;
@@ -159,7 +200,7 @@ TEST(SoakLoop, PassesAppendStateAndLedgerAndResumeContinues) {
   EXPECT_EQ(second.exit_code, 0);
   EXPECT_EQ(second.passes_completed, 1);
   EXPECT_EQ(second.passes_total, 3);
-  EXPECT_EQ(load_soak_position(state), 3);
+  EXPECT_EQ(load_soak_position(state).passes, 3);
   EXPECT_EQ(obs::load_ledger(ledger_path).entries.size(), 3u);
 
   std::remove(state.c_str());
@@ -168,4 +209,4 @@ TEST(SoakLoop, PassesAppendStateAndLedgerAndResumeContinues) {
 }
 
 }  // namespace
-}  // namespace blunt::svc
+}  // namespace blunt::exp

@@ -6,8 +6,7 @@
 //                 [--timing-sweep T1,T2,...] [--bench-dir DIR]
 //                 [--coverage] [--profile]
 //                 [--progress FILE] [--progress-interval MS]
-//                 [--workers N | --worker] [--lease-ttl MS] [--worker-id ID]
-//   blunt_exp watch FILE... [--poll MS]
+//   blunt_exp watch FILE [--poll MS]
 //
 // Runs a registered experiment on the deterministic parallel engine
 // (src/exp): trials shard across a work-stealing pool, per-trial seeds
@@ -17,11 +16,14 @@
 // append, exactly like the bench binaries they replace.
 //
 // --checkpoint FILE enables shard-granular resume: finished shards append to
-// FILE, an interrupted run picks up where it left off, and --max-shards N
-// time-boxes each chunk (the run exits after N new shards; rerun to
-// continue). --timing-sweep re-runs the trial phase at extra thread counts,
-// records each wall clock in timings_ms, and asserts the merged results are
-// bit-identical — the engine's built-in determinism self-check.
+// FILE, an interrupted run — stopped by --max-shards N or killed outright,
+// SIGKILL included — picks up where it left off when rerun with the same
+// flags, and the resumed report's metrics are bit-identical to an
+// uninterrupted run. --max-shards N time-boxes each chunk (the run exits
+// after N new shards; rerun to continue). --timing-sweep re-runs the trial
+// phase at extra thread counts, records each wall clock in timings_ms, and
+// asserts the merged results are bit-identical — the engine's built-in
+// determinism self-check.
 //
 // --coverage turns on execution-coverage fingerprinting (schedule hashes,
 // interleaving n-grams, object histories — see obs/fingerprint.hpp): the
@@ -37,22 +39,6 @@
 // collapsed-stack flamegraph lands next to the report as
 // BENCH_<name>.flame.txt. Exact profile counters are bit-identical for every
 // --threads value; the nanosecond timings are advisory wall-clock.
-//
-// Multi-process mode (src/svc — requires --checkpoint, the shared run
-// identity): --workers N forks N cooperating worker processes that claim
-// shards through the crash-tolerant lease journal next to the checkpoint,
-// then merges and reports in the parent. --worker joins an existing run
-// instead: independent invocations pointed at the same --checkpoint
-// cooperate, a finalize election picks exactly one of them to fold and
-// report, and the merged metrics are bit-identical to a single-process
-// --threads 1 run — through any interleaving of kills and resumes.
-// --lease-ttl bounds how long a killed worker's shard stays unreclaimable.
-// `watch` accepts several progress files (one per worker) and renders
-// their union.
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -61,7 +47,6 @@
 
 #include "exp/progress.hpp"
 #include "exp/runner.hpp"
-#include "svc/worker.hpp"
 
 namespace {
 
@@ -86,78 +71,27 @@ int usage(const char* argv0) {
       "           [--timing-sweep T1,T2,...] [--bench-dir DIR]\n"
       "           [--coverage] [--profile]\n"
       "           [--progress FILE] [--progress-interval MS]\n"
-      "           [--workers N | --worker] [--lease-ttl MS] [--worker-id ID]\n"
-      "       %s watch FILE_OR_GLOB... [--poll MS]\n",
+      "       %s watch FILE [--poll MS]\n",
       argv0, argv0, argv0);
   return 2;
 }
 
 int watch_main(int argc, char** argv, const char* argv0) {
-  // argv[0..] are FILE operands or glob patterns (quote them so the shell
-  // does not expand early — `watch 'run.jsonl*'` discovers per-worker
-  // heartbeat files as they appear); optional --poll MS.
-  std::vector<std::string> paths;
+  // Exactly one FILE operand; optional --poll MS.
+  std::string path;
   int poll_ms = 250;
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], "--poll") == 0 && i + 1 < argc) {
       poll_ms = std::atoi(argv[++i]);
-    } else if (argv[i][0] == '-') {
-      std::fprintf(stderr, "unknown watch flag %s\n", argv[i]);
+    } else if (argv[i][0] == '-' || !path.empty()) {
+      std::fprintf(stderr, "unexpected watch argument %s\n", argv[i]);
       return usage(argv0);
     } else {
-      paths.emplace_back(argv[i]);
+      path = argv[i];
     }
   }
-  if (paths.empty()) return usage(argv0);
-  // A single literal (no glob metacharacters) keeps the classic one-file
-  // tail; anything else — several operands or a pattern — goes through the
-  // re-globbing multi-watch so late worker files are discovered.
-  if (paths.size() == 1 &&
-      paths[0].find_first_of("*?[") == std::string::npos) {
-    return blunt::exp::watch_progress(paths[0], poll_ms, stdout);
-  }
-  return blunt::exp::watch_progress_multi(paths, poll_ms, stdout);
-}
-
-/// --workers N: fork N cooperating children (each the plain worker loop, no
-/// election), wait for them all, then merge and report in the parent. Any
-/// child that died without finishing is fine — the survivors reclaimed its
-/// stale leases; the parent only needs the checkpoint to be whole.
-int run_with_workers(const blunt::exp::Experiment& e,
-                     blunt::svc::WorkerOptions worker, int workers) {
-  std::vector<pid_t> pids;
-  for (int w = 0; w < workers; ++w) {
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      std::perror("fork");
-      return 2;
-    }
-    if (pid == 0) {
-      blunt::svc::WorkerOptions child = worker;
-      child.finalize = false;
-      if (!worker.progress_path.empty()) {
-        // One heartbeat file per worker: "<progress>.w<k>".
-        child.progress_path =
-            worker.progress_path + ".w" + std::to_string(w);
-      }
-      const blunt::svc::WorkerResult res = blunt::svc::run_worker(e, child);
-      std::_Exit(res.exit_code);
-    }
-    pids.push_back(pid);
-  }
-  bool all_ok = true;
-  for (const pid_t pid : pids) {
-    int status = 0;
-    if (::waitpid(pid, &status, 0) < 0 || !WIFEXITED(status) ||
-        WEXITSTATUS(status) != 0) {
-      all_ok = false;
-    }
-  }
-  if (!all_ok) {
-    std::fprintf(stderr, "blunt_exp: a worker exited abnormally\n");
-    return 1;
-  }
-  return blunt::svc::merge_and_report(e, worker);
+  if (path.empty()) return usage(argv0);
+  return blunt::exp::watch_progress(path, poll_ms, stdout);
 }
 
 std::vector<int> parse_thread_list(const std::string& arg) {
@@ -191,10 +125,6 @@ int main(int argc, char** argv) {
 
   const std::string name = argv[2];
   blunt::exp::RunOptions opts;
-  int workers = 0;        // --workers N: fork-and-merge mode
-  bool join_worker = false;  // --worker: join an existing run
-  std::int64_t lease_ttl_ms = 30000;
-  std::string worker_id;
   for (int i = 3; i < argc; ++i) {
     const std::string flag = argv[i];
     const auto value = [&]() -> const char* {
@@ -230,50 +160,11 @@ int main(int argc, char** argv) {
       opts.progress_path = value();
     } else if (flag == "--progress-interval") {
       opts.progress_interval_ms = std::atoi(value());
-    } else if (flag == "--workers") {
-      workers = std::atoi(value());
-      if (workers < 1) workers = 1;
-    } else if (flag == "--worker") {
-      join_worker = true;
-    } else if (flag == "--lease-ttl") {
-      lease_ttl_ms = std::atoll(value());
-      if (lease_ttl_ms < 100) lease_ttl_ms = 100;
-    } else if (flag == "--worker-id") {
-      worker_id = value();
     } else {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
       return usage(argv[0]);
     }
   }
 
-  if (workers > 0 || join_worker) {
-    if (workers > 0 && join_worker) {
-      std::fprintf(stderr, "--workers and --worker are exclusive\n");
-      return 2;
-    }
-    if (opts.checkpoint_path.empty()) {
-      std::fprintf(stderr,
-                   "worker mode needs --checkpoint (the shared run "
-                   "identity all workers agree on)\n");
-      return 2;
-    }
-    blunt::exp::register_builtin_experiments();
-    const blunt::exp::Experiment* e = blunt::exp::find_experiment(name);
-    if (e == nullptr) {
-      std::fprintf(stderr, "unknown experiment '%s' (try --list)\n",
-                   name.c_str());
-      return 2;
-    }
-    blunt::svc::WorkerOptions worker;
-    worker.run = opts;
-    worker.lease_ttl_ms = lease_ttl_ms;
-    worker.worker_id = worker_id;
-    worker.progress_path = opts.progress_path;
-    worker.run.progress_path.clear();  // workers write their own heartbeats
-    if (join_worker) {
-      return blunt::svc::run_worker(*e, worker).exit_code;
-    }
-    return run_with_workers(*e, worker, workers);
-  }
   return blunt::exp::run_registered(name, opts);
 }

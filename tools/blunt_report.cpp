@@ -39,6 +39,7 @@
 #include "obs/compare.hpp"
 #include "obs/json.hpp"
 #include "obs/ledger.hpp"
+#include "obs/lockfile.hpp"
 #include "obs/report.hpp"
 
 namespace blunt {
@@ -470,8 +471,8 @@ struct ProfileView {
 }
 
 /// One completed soak pass from SOAK_STATE.jsonl (schema "blunt-soak-pass",
-/// written by blunt_soak; string kept in sync manually — blunt_report must
-/// not link the svc layer just for a constant).
+/// written by blunt_soak; string kept in sync manually — blunt_report links
+/// only the obs layer, not the engine the soak driver lives in).
 struct SoakPass {
   std::int64_t pass = 0;
   std::string experiment;
@@ -483,30 +484,23 @@ struct SoakPass {
 
 [[nodiscard]] std::vector<SoakPass> load_soak_passes(const std::string& dir) {
   std::vector<SoakPass> passes;
-  std::ifstream in(dir + "/SOAK_STATE.jsonl");
-  if (!in) return passes;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    try {
-      const Json j = Json::parse(line);
-      const Json* schema = j.find("schema");
-      if (schema == nullptr || !schema->is_string() ||
-          schema->as_string() != "blunt-soak-pass") {
-        continue;
-      }
-      SoakPass p;
-      p.pass = j.at("pass").as_int();
-      p.experiment = j.at("experiment").as_string();
-      p.trials = j.at("trials").as_int();
-      p.wall_ms = j.at("wall_ms").as_double();
-      p.exit_code = static_cast<int>(j.at("exit_code").as_int());
-      p.ts_unix_ms = j.at("ts_unix_ms").as_int();
-      passes.push_back(std::move(p));
-    } catch (const std::exception&) {
-      // torn record from a killed soak: the pass re-ran anyway
+  // Torn records from a killed soak are skipped: that pass re-ran anyway.
+  (void)obs::read_journal(dir + "/SOAK_STATE.jsonl", [&passes](const Json& j) {
+    const Json* schema = j.find("schema");
+    if (schema == nullptr || !schema->is_string() ||
+        schema->as_string() != "blunt-soak-pass") {
+      return false;
     }
-  }
+    SoakPass p;
+    p.pass = j.at("pass").as_int();
+    p.experiment = j.at("experiment").as_string();
+    p.trials = j.at("trials").as_int();
+    p.wall_ms = j.at("wall_ms").as_double();
+    p.exit_code = static_cast<int>(j.at("exit_code").as_int());
+    p.ts_unix_ms = j.at("ts_unix_ms").as_int();
+    passes.push_back(std::move(p));
+    return true;
+  });
   return passes;
 }
 
@@ -648,28 +642,6 @@ std::string build_markdown(const std::vector<BenchState>& benches,
       md << "| " << fmt(s.n) << " | " << fmt(s.steps) << " | " << fmt(s.scans)
          << " | " << fmt(s.quorum) << " | " << fmt(s.deliv) << " | "
          << fmt(s.scan_ns) << " |\n";
-    }
-  }
-  bool any_workers = false;
-  for (const auto& b : benches) {
-    const Json* workers = b.current.find("workers");
-    if (workers == nullptr || !workers->is_object() ||
-        workers->as_object().empty()) {
-      continue;
-    }
-    if (!any_workers) {
-      md << "\n## Worker attribution\n\n";
-      md << "| bench | worker | shards | trials |\n";
-      md << "|---|---|---|---|\n";
-      any_workers = true;
-    }
-    for (const auto& [worker, v] : workers->as_object()) {
-      const auto cell = [&v](const char* key) -> std::string {
-        const Json* n = v.is_object() ? v.find(key) : nullptr;
-        return n != nullptr && n->is_number() ? fmt(n->as_double()) : "-";
-      };
-      md << "| " << b.name << " | `" << worker << "` | " << cell("shards")
-         << " | " << cell("trials") << " |\n";
     }
   }
   if (!soak.empty()) {

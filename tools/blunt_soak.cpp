@@ -26,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "svc/soak.hpp"
+#include "exp/soak.hpp"
 
 namespace {
 
@@ -41,14 +41,14 @@ int usage(const char* argv0) {
 }
 
 bool parse_rotation_list(const std::string& arg,
-                         std::vector<blunt::svc::RotationEntry>* out) {
+                         std::vector<blunt::exp::RotationEntry>* out) {
   std::size_t pos = 0;
   while (pos <= arg.size()) {
     const std::size_t comma = arg.find(',', pos);
     const std::string tok =
         arg.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    blunt::svc::RotationEntry entry;
-    if (!blunt::svc::parse_rotation_entry(tok, &entry)) return false;
+    blunt::exp::RotationEntry entry;
+    if (!blunt::exp::parse_rotation_entry(tok, &entry)) return false;
     out->push_back(entry);
     if (comma == std::string::npos) break;
     pos = comma + 1;
@@ -59,7 +59,7 @@ bool parse_rotation_list(const std::string& arg,
 }  // namespace
 
 int main(int argc, char** argv) {
-  blunt::svc::SoakOptions opts;
+  blunt::exp::SoakOptions opts;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     const auto value = [&]() -> const char* {
@@ -96,5 +96,5 @@ int main(int argc, char** argv) {
     }
   }
   if (opts.rotation.empty()) return usage(argv[0]);
-  return blunt::svc::run_soak(opts).exit_code;
+  return blunt::exp::run_soak(opts).exit_code;
 }
