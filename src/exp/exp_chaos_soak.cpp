@@ -107,12 +107,14 @@ struct AbdChaosWorld {
 AbdChaosWorld make_abd_chaos(std::uint64_t coin_seed,
                              const fault::FaultPlan& plan, int k,
                              objects::AbdBug bug, bool metrics,
-                             sim::TraceDetail detail = sim::TraceDetail::kFull) {
+                             sim::TraceDetail detail = sim::TraceDetail::kFull,
+                             bool profile = false) {
   AbdChaosWorld cw;
   cw.world = std::make_unique<sim::World>(
       sim::Config{.max_crashes = static_cast<int>(plan.crashes.size()),
                   .metrics = metrics,
-                  .trace_detail = detail},
+                  .trace_detail = detail,
+                  .profile = profile},
       std::make_unique<sim::SeededCoin>(coin_seed));
   cw.reg = std::make_unique<objects::AbdRegister>(
       "R", *cw.world,
@@ -159,7 +161,8 @@ bool lin_ok(const sim::World& w) {
 // The chaos trial bodies take an optional coverage accumulator (`cov`):
 // nullptr runs the exact pre-coverage path; non-null wraps the chaos
 // adversary in the choice-transparent obs::ScheduleFingerprinter and records
-// fingerprints on the side — the run itself is identical either way.
+// fingerprints on the side — the run itself is identical either way. The
+// ABD body's optional `prof` receives its worlds' profiles the same way.
 /// Every plan that reaches an execution passes full structural validation
 /// (FaultPlan::validate) — the generator is quorum-preserving by
 /// construction, and this hard check keeps it honest as knobs evolve. The
@@ -171,15 +174,16 @@ fault::FaultPlan validated(fault::FaultPlan plan) {
   return plan;
 }
 
-void abd_trial(std::uint64_t seed, int k, ChaosTotals& t, Accumulator* cov) {
+void abd_trial(std::uint64_t seed, int k, ChaosTotals& t, Accumulator* cov,
+               Accumulator* prof) {
   const fault::FaultPlan plan = validated(fault::random_plan(
       fault::mix64(seed * 2 + static_cast<std::uint64_t>(k)), {}));
   // The soak never reads the trace (lin_ok works off the invocation
   // table), so trials run at kNone; the shrink demo below replays against
   // event whats and keeps the default kFull.
   AbdChaosWorld cw = make_abd_chaos(seed, plan, k, objects::AbdBug::kNone,
-                                    /*metrics=*/false,
-                                    sim::TraceDetail::kNone);
+                                    /*metrics=*/false, sim::TraceDetail::kNone,
+                                    /*profile=*/prof != nullptr);
   sim::UniformAdversary uniform(fault::mix64(seed) * 7 + 3);
   fault::ChaosAdversary adv(uniform, cw.injector->plan(), cw.injector.get());
   sim::RunResult res;
@@ -190,6 +194,7 @@ void abd_trial(std::uint64_t seed, int k, ChaosTotals& t, Accumulator* cov) {
   } else {
     res = cw.world->run(adv);
   }
+  if (prof != nullptr) record_profile(*prof, "abd", *cw.world);
   ++t.runs;
   t.losses += cw.injector->losses_injected();
   t.duplicates += cw.injector->duplicates_injected();
@@ -329,12 +334,13 @@ void trial(const TrialContext& ctx, Accumulator& acc) {
   const ChaosLayout l = layout_from_total(ctx.trials);
   const std::int64_t i = ctx.trial_index;
   Accumulator* cov = ctx.coverage ? &acc : nullptr;
+  Accumulator* prof = ctx.profile ? &acc : nullptr;
   ChaosTotals t;
   if (i < l.abd_trials) {
-    abd_trial(static_cast<std::uint64_t>(i), 1, t, cov);
+    abd_trial(static_cast<std::uint64_t>(i), 1, t, cov, prof);
     add_totals(acc, "abd1", t);
   } else if (i < 2 * l.abd_trials) {
-    abd_trial(static_cast<std::uint64_t>(i - l.abd_trials), 2, t, cov);
+    abd_trial(static_cast<std::uint64_t>(i - l.abd_trials), 2, t, cov, prof);
     add_totals(acc, "abd2", t);
   } else if (i < 2 * l.abd_trials + l.shared_mem_trials) {
     vitanyi_trial(static_cast<std::uint64_t>(i - 2 * l.abd_trials), 2, t, cov);
@@ -518,6 +524,7 @@ int finalize_impl(obs::BenchReport& report, const Accumulator& acc,
   }
 
   report_coverage(report, acc, info);
+  report_profile(report, acc, info);
   return all_terminated && all_linearizable && harness_catches_bug ? 0 : 1;
 }
 

@@ -22,13 +22,12 @@
 // partition heals. Every fault decision is deterministic (see
 // sim/fault_hooks.hpp), so faulty executions replay exactly.
 //
-// Enabled-index integration (DESIGN.md §14): when attached to a World, the
-// Network runs in push mode — every send/deliver/crash-drop pushes a delta
-// to the World's incremental enabled-index, and enumeration_version()
-// reports kSourcePushed so the World never re-enumerates it. Setting a
-// fault layer permanently disables push mode (partitions hide and reveal
-// messages without mutating the in-transit set, so only a per-scan rescan
-// is sound); set the fault layer before the first scheduler step.
+// Enabled-index integration (DESIGN.md §14): when attached to a World, every
+// send/deliver/crash-drop of a message on an unsevered channel pushes a
+// delta to the World's incremental enabled-index. A partition opening or
+// healing changes which messages are deliverable without touching the
+// in-transit set; the World learns of it from FaultLayer::on_step and
+// re-enumerates the network once.
 #pragma once
 
 #include <algorithm>
@@ -84,14 +83,16 @@ class Network final : public sim::DeliverySource {
   }
 
   /// Interposes `layer` on every subsequent send/enumerate (nullptr =
-  /// faithful channels, the default). Installing any layer permanently
-  /// drops this network out of enabled-index push mode: partition state
-  /// changes what enumerate() returns without touching in_transit_, so the
-  /// World must rescan it every step from then on (even if the layer is
-  /// later cleared — pushes suspended meanwhile cannot be replayed).
+  /// faithful channels, the default). May be called mid-run: in-flight
+  /// messages are re-filed in the enabled-index under the new layer.
   void set_fault_layer(sim::FaultLayer* layer) {
+    for (const Envelope& env : in_transit_) {
+      if (deliverable(env)) push_erase(env);
+    }
     fault_layer_ = layer;
-    if (layer != nullptr) push_disabled_ = true;
+    for (const Envelope& env : in_transit_) {
+      if (deliverable(env)) push_insert(env);
+    }
     if (layer != nullptr && metrics_ != nullptr) {
       lost_counter_ = metrics_->counter(obs::kFaultMessagesLost);
       duplicated_counter_ = metrics_->counter(obs::kFaultMessagesDuplicated);
@@ -159,14 +160,7 @@ class Network final : public sim::DeliverySource {
       }
       // ids are monotone, so the vector stays sorted by append.
       in_transit_.push_back(Envelope{id, from, to, msg});
-      if (push_active()) {
-        sink_->source_event_insert(
-            source_id_, id, to,
-            sink_->source_wants_summaries()
-                ? name_ + " " + msg.summary() + " from p" +
-                      std::to_string(from)
-                : std::string());
-      }
+      if (deliverable(in_transit_.back())) push_insert(in_transit_.back());
     }
   }
 
@@ -180,14 +174,9 @@ class Network final : public sim::DeliverySource {
   void enumerate(std::vector<sim::PendingDelivery>& out,
                  bool want_summaries) const override {
     for (const Envelope& env : in_transit_) {
-      if (fault_layer_ != nullptr &&
-          fault_layer_->channel_blocked(env.from, env.to)) {
-        continue;  // severed by a partition; held until it heals
-      }
-      out.push_back({env.id, env.to,
-                     want_summaries ? name_ + " " + env.payload.summary() +
-                                          " from p" + std::to_string(env.from)
-                                    : std::string()});
+      // A message severed by a partition is held until it heals.
+      if (!deliverable(env)) continue;
+      out.push_back({env.id, env.to, summary(env, want_summaries)});
     }
   }
 
@@ -195,9 +184,9 @@ class Network final : public sim::DeliverySource {
     auto it = find_in_transit(msg_id);
     BLUNT_ASSERT(it != in_transit_.end() && it->id == msg_id,
                  "deliver of unknown msg " << msg_id);
+    if (deliverable(*it)) push_erase(*it);
     Envelope env = std::move(*it);
     in_transit_.erase(it);
-    if (push_active()) sink_->source_event_erase(source_id_, msg_id);
     BLUNT_ASSERT(!crashed_[static_cast<std::size_t>(env.to)],
                  "deliver to crashed p" << env.to);
     ++messages_delivered_;
@@ -213,7 +202,7 @@ class Network final : public sim::DeliverySource {
     for (const Envelope& env : in_transit_) {
       if (env.to != pid) continue;
       if (dropped_counter_ != nullptr) dropped_counter_->inc();
-      if (push_active()) sink_->source_event_erase(source_id_, env.id);
+      if (deliverable(env)) push_erase(env);
     }
     std::erase_if(in_transit_,
                   [pid](const Envelope& e) { return e.to == pid; });
@@ -221,18 +210,12 @@ class Network final : public sim::DeliverySource {
 
   void describe_pending(std::vector<std::string>& out) const override {
     for (const Envelope& env : in_transit_) {
-      const bool blocked =
-          fault_layer_ != nullptr &&
-          fault_layer_->channel_blocked(env.from, env.to);
       out.push_back(name_ + " msg" + std::to_string(env.id) + " p" +
                     std::to_string(env.from) + "→p" + std::to_string(env.to) +
                     " " + env.payload.summary() +
-                    (blocked ? " [held by partition]" : " [deliverable]"));
+                    (deliverable(env) ? " [deliverable]"
+                                      : " [held by partition]"));
     }
-  }
-
-  [[nodiscard]] std::int64_t enumeration_version() const override {
-    return push_active() ? sim::kSourcePushed : sim::kSourceUnversioned;
   }
 
   void bind_enabled_index(sim::EnabledIndexSink* sink,
@@ -267,8 +250,27 @@ class Network final : public sim::DeliverySource {
                  "bad pid " << pid << " on network " << name_);
   }
 
-  [[nodiscard]] bool push_active() const {
-    return sink_ != nullptr && !push_disabled_;
+  /// False while an active partition severs the message's channel.
+  [[nodiscard]] bool deliverable(const Envelope& env) const {
+    return fault_layer_ == nullptr ||
+           !fault_layer_->channel_blocked(env.from, env.to);
+  }
+
+  /// The message's event label, or empty when `want` is false.
+  [[nodiscard]] std::string summary(const Envelope& env, bool want) const {
+    if (!want) return {};
+    return name_ + " " + env.payload.summary() + " from p" +
+           std::to_string(env.from);
+  }
+
+  // Enabled-index deltas, for deliverable messages only.
+  void push_insert(const Envelope& env) {
+    if (sink_ == nullptr) return;
+    sink_->source_event_insert(source_id_, env.id, env.to,
+                               summary(env, sink_->source_wants_summaries()));
+  }
+  void push_erase(const Envelope& env) {
+    if (sink_ != nullptr) sink_->source_event_erase(source_id_, env.id);
   }
 
   [[nodiscard]] typename std::vector<Envelope>::iterator find_in_transit(
@@ -294,11 +296,9 @@ class Network final : public sim::DeliverySource {
   // enumeration order, no node allocations on the send path.
   std::vector<Envelope> in_transit_;
   std::vector<char> crashed_;  // indexed by pid
-  // Enabled-index push binding (set by World::attach via
-  // bind_enabled_index); push_disabled_ latches when a fault layer is set.
+  // Enabled-index binding (set by World::attach via bind_enabled_index).
   sim::EnabledIndexSink* sink_ = nullptr;
   int source_id_ = -1;
-  bool push_disabled_ = false;
   int next_id_ = 0;
   int messages_sent_ = 0;
   int messages_delivered_ = 0;

@@ -86,7 +86,6 @@ std::pair<sim::Value, Timestamp> AbdRegister::replica(Pid pid) const {
 
 void AbdRegister::handle(Pid to, Pid from, const AbdMessage& m) {
   Server& srv = servers_[static_cast<std::size_t>(to)];
-  Client& cli = clients_[static_cast<std::size_t>(to)];
   switch (m.type) {
     case AbdMessage::Type::kQuery:
       // Lines 11–12: answer with the replica's current value and timestamp.
@@ -96,23 +95,14 @@ void AbdRegister::handle(Pid to, Pid from, const AbdMessage& m) {
                 {AbdMessage::Type::kReply, m.sn, srv.val, srv.ts});
       break;
     case AbdMessage::Type::kReply: {
-      // Deduped by the responder bitset: a duplicated or re-elicited reply
-      // is dropped before it can double-count or perturb the running max
-      // (first reply per responder wins, as the historical map did).
-      if (prof_ != nullptr) prof_->count(obs::ProfCounter::kQuorumTouches);
-      Phase& ph = phase_slot(cli, m.sn);
-      const auto word = static_cast<std::size_t>(from) >> 6;
-      const std::uint64_t bit = std::uint64_t{1} << (from & 63);
-      if ((ph.responders[word] & bit) != 0) break;
-      ph.responders[word] |= bit;
-      ++ph.count;
-      if (!ph.any || m.ts > ph.best_ts) {
-        ph.any = true;
-        ph.best_val = m.val;
-        ph.best_ts = m.ts;
+      // A duplicate is dropped before it can perturb the running max (first
+      // reply per responder wins, as the historical map did).
+      Phase* ph = count_response(to, from, m.sn);
+      if (ph != nullptr && (!ph->any || m.ts > ph->best_ts)) {
+        ph->any = true;
+        ph->best_val = m.val;
+        ph->best_ts = m.ts;
       }
-      ++mutation_stamp_;
-      world_.wake_hint(to);
       break;
     }
     case AbdMessage::Type::kUpdate:
@@ -124,34 +114,37 @@ void AbdRegister::handle(Pid to, Pid from, const AbdMessage& m) {
       }
       net_.send(to, from, {AbdMessage::Type::kAck, m.sn});
       break;
-    case AbdMessage::Type::kAck: {
-      // The same bitset dedupe: duplicated acks cannot fake a quorum.
-      if (prof_ != nullptr) prof_->count(obs::ProfCounter::kQuorumTouches);
-      Phase& ph = phase_slot(cli, m.sn);
-      const auto word = static_cast<std::size_t>(from) >> 6;
-      const std::uint64_t bit = std::uint64_t{1} << (from & 63);
-      if ((ph.responders[word] & bit) != 0) break;
-      ph.responders[word] |= bit;
-      ++ph.count;
-      ++mutation_stamp_;
-      world_.wake_hint(to);
+    case AbdMessage::Type::kAck:
+      (void)count_response(to, from, m.sn);
       break;
-    }
   }
 }
 
-bool AbdRegister::phase_satisfied(Pid client, int sn,
-                                  AbdMessage::Type type) const {
+bool AbdRegister::phase_satisfied(Pid client, int sn) const {
   // O(1): the phase keeps a distinct-responder count, so the quorum test is
   // one compare regardless of n. Polled at park and on wake_hint (signaled
   // waits), not on every enabled scan.
   const obs::ScopedPhase prof_scope(prof_, obs::Phase::kQuorum);
   if (prof_ != nullptr) prof_->count(obs::ProfCounter::kQuorumTouches);
-  (void)type;  // query and update phases share the sn counter
   const Client& c = clients_[static_cast<std::size_t>(client)];
   if (sn >= static_cast<int>(c.phases.size())) return false;
   return static_cast<int>(c.phases[static_cast<std::size_t>(sn)].count) >=
          quorum_;
+}
+
+AbdRegister::Phase* AbdRegister::count_response(Pid client, Pid from,
+                                               int sn) {
+  if (prof_ != nullptr) prof_->count(obs::ProfCounter::kQuorumTouches);
+  Phase& ph = phase_slot(clients_[static_cast<std::size_t>(client)], sn);
+  const auto word = static_cast<std::size_t>(from) >> 6;
+  const std::uint64_t bit = std::uint64_t{1} << (from & 63);
+  if ((ph.responders[word] & bit) != 0) return nullptr;
+  ph.responders[word] |= bit;
+  if (static_cast<int>(++ph.count) == quorum_) {
+    resend_src_.on_quorum(client, sn);
+  }
+  world_.wake_hint(client);
+  return &ph;
 }
 
 AbdRegister::Phase& AbdRegister::phase_slot(Client& cli, int sn) {
@@ -172,19 +165,45 @@ AbdRegister::Phase& AbdRegister::phase_slot(Client& cli, int sn) {
 void AbdRegister::ResendSource::arm(Pid client, int sn, AbdMessage msg,
                                     int retries) {
   if (retries <= 0) return;
-  tokens_.emplace(next_token_++, Token{client, sn, std::move(msg), retries});
-  ++reg_->mutation_stamp_;
+  const int id = next_token_++;
+  const Token& t = tokens_[id] = Token{client, sn, std::move(msg), retries};
+  if (offered(t)) push_insert(id, t);
+}
+
+template <typename Pred>
+void AbdRegister::ResendSource::drop_if(Pred pred) {
+  std::erase_if(tokens_, [&](const auto& entry) {
+    if (!pred(entry.second)) return false;
+    if (offered(entry.second)) {
+      sink_->source_event_erase(source_id_, entry.first);
+    }
+    return true;
+  });
 }
 
 void AbdRegister::ResendSource::disarm(Pid client, int sn) {
-  for (auto it = tokens_.begin(); it != tokens_.end();) {
-    if (it->second.client == client && it->second.sn == sn) {
-      it = tokens_.erase(it);
-      ++reg_->mutation_stamp_;
-    } else {
-      ++it;
+  drop_if([&](const Token& t) { return t.client == client && t.sn == sn; });
+}
+
+void AbdRegister::ResendSource::on_quorum(Pid client, int sn) {
+  for (const auto& [id, t] : tokens_) {
+    if (t.client == client && t.sn == sn) {
+      sink_->source_event_erase(source_id_, id);
     }
   }
+}
+
+std::string AbdRegister::ResendSource::summary(const Token& t,
+                                              bool want) const {
+  if (!want) return {};
+  return reg_->name_ + " resend " + t.msg.summary() + " by p" +
+         std::to_string(t.client) + " (" + std::to_string(t.retries_left) +
+         " left)";
+}
+
+void AbdRegister::ResendSource::push_insert(int id, const Token& t) {
+  sink_->source_event_insert(source_id_, id, t.client,
+                             summary(t, sink_->source_wants_summaries()));
 }
 
 void AbdRegister::ResendSource::enumerate(
@@ -192,13 +211,8 @@ void AbdRegister::ResendSource::enumerate(
   for (const auto& [id, t] : tokens_) {
     // A satisfied phase no longer offers its resend — the rebroadcast would
     // be pure noise, and hiding it keeps fault-free schedules identical.
-    if (reg_->phase_satisfied(t.client, t.sn, t.msg.type)) continue;
-    out.push_back({id, t.client,
-                   want_summaries
-                       ? reg_->name_ + " resend " + t.msg.summary() + " by p" +
-                             std::to_string(t.client) + " (" +
-                             std::to_string(t.retries_left) + " left)"
-                       : std::string()});
+    if (!offered(t)) continue;
+    out.push_back({id, t.client, summary(t, want_summaries)});
   }
 }
 
@@ -225,30 +239,25 @@ void AbdRegister::ResendSource::deliver(int msg_id) {
   }
   const Pid client = t.client;
   const AbdMessage msg = t.msg;
-  if (t.retries_left <= 0) tokens_.erase(it);
-  ++reg_->mutation_stamp_;
+  if (t.retries_left <= 0) {
+    sink_->source_event_erase(source_id_, msg_id);
+    tokens_.erase(it);
+  } else if (sink_->source_wants_summaries()) {
+    // Re-file under the fresh "(N left)" label.
+    sink_->source_event_erase(source_id_, msg_id);
+    push_insert(msg_id, t);
+  }
   reg_->net_.broadcast(client, msg);
 }
 
 void AbdRegister::ResendSource::on_crash(Pid pid) {
-  for (auto it = tokens_.begin(); it != tokens_.end();) {
-    if (it->second.client == pid) {
-      it = tokens_.erase(it);
-      ++reg_->mutation_stamp_;
-    } else {
-      ++it;
-    }
-  }
-}
-
-std::int64_t AbdRegister::ResendSource::enumeration_version() const {
-  return reg_->mutation_stamp_;
+  drop_if([pid](const Token& t) { return t.client == pid; });
 }
 
 void AbdRegister::ResendSource::describe_pending(
     std::vector<std::string>& out) const {
   for (const auto& [id, t] : tokens_) {
-    const bool satisfied = reg_->phase_satisfied(t.client, t.sn, t.msg.type);
+    const bool satisfied = !offered(t);
     out.push_back(reg_->name_ + " resend-token" + std::to_string(id) + " p" +
                   std::to_string(t.client) + " " + t.msg.summary() + " (" +
                   std::to_string(t.retries_left) + " left)" +
@@ -274,9 +283,7 @@ sim::Task<std::pair<sim::Value, Timestamp>> AbdRegister::query_phase(
   // grow), and every kReply arrival calls World::wake_hint — so the
   // scheduler never re-polls it on an enabled scan.
   co_await p.wait_until(
-      [this, pid, sn] {
-        return phase_satisfied(pid, sn, AbdMessage::Type::kQuery);
-      },
+      [this, pid, sn] { return phase_satisfied(pid, sn); },
       label_query_quorum_, inv, sim::WaitHint::kSignaled);
   resend_src_.disarm(pid, sn);
   if (quorum_round_trips_ != nullptr) quorum_round_trips_->inc();
@@ -300,9 +307,7 @@ sim::Task<void> AbdRegister::update_phase(sim::Proc p, InvocationId inv,
   }
   const Pid pid = p.pid();
   co_await p.wait_until(
-      [this, pid, sn] {
-        return phase_satisfied(pid, sn, AbdMessage::Type::kUpdate);
-      },
+      [this, pid, sn] { return phase_satisfied(pid, sn); },
       label_update_quorum_, inv, sim::WaitHint::kSignaled);
   resend_src_.disarm(pid, sn);
   if (quorum_round_trips_ != nullptr) quorum_round_trips_->inc();

@@ -155,23 +155,27 @@ class AbdRegister final : public RegisterObject {
   /// Bounded per-phase resend tokens, exposed to the World as schedulable
   /// delivery events: "delivering" a token rebroadcasts its phase message.
   /// Tokens of satisfied phases (and of crashed clients) are not offered.
+  /// Every change to the offered set is pushed to the World's index; tokens
+  /// are armed only when the register retransmits, i.e. when it is attached.
   class ResendSource final : public sim::DeliverySource {
    public:
     explicit ResendSource(AbdRegister* reg) : reg_(reg) {}
 
     void arm(Pid client, int sn, AbdMessage msg, int retries);
     void disarm(Pid client, int sn);
+    /// Phase `sn` of `client` just reached its quorum: hide its token.
+    void on_quorum(Pid client, int sn);
 
     void enumerate(std::vector<sim::PendingDelivery>& out,
                    bool want_summaries) const override;
     void deliver(int msg_id) override;
     void on_crash(Pid pid) override;
     void describe_pending(std::vector<std::string>& out) const override;
-
-    /// enumerate() depends on the token set AND on phase_satisfied, so the
-    /// register bumps one shared stamp on every quorum-state or token
-    /// mutation; the World re-enumerates only when it moved.
-    [[nodiscard]] std::int64_t enumeration_version() const override;
+    void bind_enabled_index(sim::EnabledIndexSink* sink,
+                            int source_id) override {
+      sink_ = sink;
+      source_id_ = source_id;
+    }
 
    private:
     struct Token {
@@ -181,9 +185,21 @@ class AbdRegister final : public RegisterObject {
       int retries_left = 0;
     };
 
+    [[nodiscard]] bool offered(const Token& t) const {
+      return !reg_->phase_satisfied(t.client, t.sn);
+    }
+    /// The token's event label, or empty when `want` is false.
+    [[nodiscard]] std::string summary(const Token& t, bool want) const;
+    void push_insert(int id, const Token& t);
+    /// Drops every token matching `pred`, erasing offered ones from the index.
+    template <typename Pred>
+    void drop_if(Pred pred);
+
     AbdRegister* reg_;
     std::map<int, Token> tokens_;  // keyed by token id => canonical order
     int next_token_ = 0;
+    sim::EnabledIndexSink* sink_ = nullptr;
+    int source_id_ = -1;
   };
 
   /// Lines 5–10: broadcast query, await a quorum of replies, return the
@@ -198,8 +214,11 @@ class AbdRegister final : public RegisterObject {
 
   /// True once the phase `sn` of `client` has its quorum (distinct
   /// responders only). O(1): one bounds check and one integer compare.
-  [[nodiscard]] bool phase_satisfied(Pid client, int sn,
-                                     AbdMessage::Type type) const;
+  [[nodiscard]] bool phase_satisfied(Pid client, int sn) const;
+
+  /// Counts a reply/ack from `from` toward phase `sn` of `client` and wakes
+  /// the client; nullptr for a duplicate, which must not fake a quorum.
+  Phase* count_response(Pid client, Pid from, int sn);
 
   /// The phase slot for (cli, sn), grown and bitset-sized on first touch.
   [[nodiscard]] Phase& phase_slot(Client& cli, int sn);
@@ -228,9 +247,6 @@ class AbdRegister final : public RegisterObject {
   ResendSource resend_src_;
   std::vector<Server> servers_;
   std::vector<Client> clients_;
-  // Monotone stamp backing ResendSource::enumeration_version(): bumped on
-  // every reply/ack recorded and on every token arm/disarm/fire/crash-drop.
-  std::int64_t mutation_stamp_ = 0;
   std::int64_t writer_seq_ = 0;  // single-writer variant's local stamp
   int query_phases_run_ = 0;
   int retransmissions_ = 0;

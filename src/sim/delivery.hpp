@@ -5,7 +5,6 @@
 // one. Keeping only this interface in sim avoids a sim -> net dependency.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -19,26 +18,22 @@ struct PendingDelivery {
   std::string summary;  // human-readable message description
 };
 
-/// Sentinels for DeliverySource::enumeration_version().
-inline constexpr std::int64_t kSourceUnversioned = -1;
-inline constexpr std::int64_t kSourcePushed = -2;
-
-/// The World's incremental enabled-index, seen from a delivery source. A
-/// source that can report its own mutations pushes per-message deltas here
-/// instead of being re-enumerated every scheduler step. Deltas arrive in
-/// canonical order (msg_id strictly increasing per source for inserts); the
-/// sink ignores deltas until it has synced the source once via enumerate().
+/// The World's incremental enabled-index, seen from a delivery source. Every
+/// source pushes its per-message deltas here. The World enumerates a source
+/// only to sync it: at the first scan, and again after a partition opens or
+/// heals (deliverability changed with no source mutation). Deltas for an
+/// unsynced source are ignored; the next sync enumerates the full set.
 class EnabledIndexSink {
  public:
   virtual ~EnabledIndexSink() = default;
 
-  /// A new message became deliverable. `summary` may be empty; it is only
-  /// consulted when wants_summaries() is true, and is copied by the sink.
+  /// A message became deliverable; filed at its msg_id position. `summary`
+  /// may be empty; it is only consulted when wants_summaries() is true.
   virtual void source_event_insert(int source_id, int msg_id, Pid to,
                                    std::string&& summary) = 0;
 
-  /// Message `msg_id` is no longer deliverable (delivered or recipient
-  /// crashed). No-op if the sink has not yet synced this source.
+  /// Message `msg_id` (inserted, or enumerated at the last sync) is no longer
+  /// deliverable: delivered, its recipient crashed, or hidden.
   virtual void source_event_erase(int source_id, int msg_id) = 0;
 
   /// True when the World runs at full trace detail and inserts must carry a
@@ -50,10 +45,10 @@ class DeliverySource {
  public:
   virtual ~DeliverySource() = default;
 
-  /// Append all currently deliverable messages, in canonical (msg_id) order.
-  /// `want_summaries` is false when the World runs at reduced trace detail:
-  /// implementations must then leave `summary` empty instead of formatting
-  /// one per message per scheduler step (the enumeration hot path).
+  /// Append all currently deliverable messages, in canonical (msg_id) order,
+  /// to sync the World's index (and for its rescan oracle). `want_summaries`
+  /// is false at reduced trace detail: implementations must then leave
+  /// `summary` empty instead of formatting one per message.
   virtual void enumerate(std::vector<PendingDelivery>& out,
                          bool want_summaries) const = 0;
 
@@ -68,34 +63,13 @@ class DeliverySource {
 
   /// Append one human-readable line per held or pending item, including
   /// messages currently severed by a partition (which enumerate() hides).
-  /// Feeds the World's deadlock diagnostics; default: nothing to report.
-  virtual void describe_pending(std::vector<std::string>& out) const {
-    (void)out;
-  }
+  /// Feeds the World's deadlock diagnostics.
+  virtual void describe_pending(std::vector<std::string>& out) const = 0;
 
-  /// Dirty-tracking contract with the World's incremental enabled-index.
-  ///
-  ///  - kSourceUnversioned (default): the deliverable set may change without
-  ///    notice (e.g. a fault layer hides/reveals messages as partitions
-  ///    form/heal); the World re-enumerates the source every scan.
-  ///  - kSourcePushed: the source pushes every mutation to the bound
-  ///    EnabledIndexSink; the World enumerates once to sync, then trusts the
-  ///    pushed deltas.
-  ///  - v >= 0: a monotone stamp the source MUST bump on every mutation of
-  ///    its deliverable set, including on_crash() and any state change that
-  ///    alters what enumerate() would return; the World re-enumerates only
-  ///    when the stamp moved.
-  [[nodiscard]] virtual std::int64_t enumeration_version() const {
-    return kSourceUnversioned;
-  }
-
-  /// Called once when the source is attached to a World. Sources that can
-  /// push deltas store the sink and its assigned source_id; the default
-  /// (rescan/versioned) implementation ignores it.
-  virtual void bind_enabled_index(EnabledIndexSink* sink, int source_id) {
-    (void)sink;
-    (void)source_id;
-  }
+  /// Called once when the source is attached to a World: the source keeps the
+  /// sink and its source_id, and pushes every change to what enumerate()
+  /// would return as an insert or erase delta.
+  virtual void bind_enabled_index(EnabledIndexSink* sink, int source_id) = 0;
 };
 
 }  // namespace blunt::sim

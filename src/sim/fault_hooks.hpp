@@ -2,9 +2,10 @@
 //
 // The fault subsystem (src/fault) sits between the network substrate and the
 // scheduler: net::Network consults a FaultLayer on every send (lose?
-// duplicate?) and on every enumeration (is this channel severed by an active
-// partition?), and the World consults it once per scheduler step so
-// step-indexed faults (partition opens/heals) advance deterministically.
+// duplicate?) and on every deliverability check (is this channel severed by
+// an active partition?), and the World consults it once per scheduler step so
+// step-indexed faults (partition opens/heals) advance deterministically and
+// its delivery sources resync when one fires.
 // Keeping only this interface in sim avoids sim -> fault and net -> fault
 // dependencies, mirroring DeliverySource.
 //
@@ -46,8 +47,9 @@ class FaultLayer {
 
   /// Called by the World at the start of every executed scheduler step, after
   /// the step counter advanced. Step-indexed fault transitions (partition
-  /// opens/heals) fire here and append their own trace entries.
-  virtual void on_step(World& w) = 0;
+  /// opens/heals) fire here and append their own trace entries. Returns true
+  /// iff one fired: the only time channel_blocked() may change.
+  virtual bool on_step(World& w) = 0;
 
   /// True while some step-indexed transition still lies ahead. While true the
   /// World offers a kTick event, so simulated time can advance (and a pending

@@ -57,7 +57,6 @@ Pid World::add_process(std::string name, ProcessBody body) {
 
 int World::attach(DeliverySource& src) {
   sources_.push_back(&src);
-  pending_bufs_.emplace_back();
   oracle_pending_.emplace_back();
   source_caches_.emplace_back();
   const int sid = static_cast<int>(sources_.size()) - 1;
@@ -92,8 +91,8 @@ bool World::finished() const {
 const std::vector<Event>& World::enabled_events() const {
   // Assembled from the incremental enabled-index: bulk-copy the maintained
   // resume region (merging in re-polled kPolled waiters when any exist),
-  // refresh per-source caches per their enumeration_version() contract, then
-  // append crash region and fault tick. Member buffers are reused across
+  // sync any per-source cache not yet (or no longer) synced, then append
+  // crash region and fault tick. Member buffers are reused across
   // scheduler steps: after warm-up, a step enumerates, chooses, and executes
   // without a single allocation (at reduced trace detail). Event::what
   // borrows — from literals, from the parked slots' pending labels, or from
@@ -129,20 +128,9 @@ const std::vector<Event>& World::enabled_events() const {
   }
   for (int sid = 0; sid < static_cast<int>(sources_.size()); ++sid) {
     SourceCache& c = source_caches_[sid];
-    const std::int64_t v = sources_[sid]->enumeration_version();
-    if (v == kSourcePushed) {
-      if (!c.push_synced) {
-        rebuild_source_cache(sid);
-        c.push_synced = true;
-      }
-    } else {
-      // Versioned or unversioned: pushes (if any ever arrived) are stale.
-      c.push_synced = false;
-      if (v == kSourceUnversioned || !c.synced || v != c.version_seen) {
-        rebuild_source_cache(sid);
-        c.version_seen = v;
-        c.synced = true;
-      }
+    if (!c.synced) {
+      rebuild_source_cache(sid);
+      c.synced = true;
     }
     events.insert(events.end(), c.events.begin(), c.events.end());
   }
@@ -308,13 +296,11 @@ void World::crash_region_erase(Pid pid) {
 void World::rebuild_source_cache(int sid) const {
   SourceCache& c = source_caches_[sid];
   const bool want_summaries = trace_.wants_what();
-  std::vector<PendingDelivery>& pending = pending_bufs_[sid];
-  pending.clear();
+  std::vector<PendingDelivery> pending;
   sources_[sid]->enumerate(pending, want_summaries);
   c.events.clear();
   c.sums.clear();
   for (PendingDelivery& d : pending) {
-    if (crashed(d.to)) continue;
     std::string_view sv{};
     if (want_summaries) {
       c.sums.push_back(std::make_unique<std::string>(std::move(d.summary)));
@@ -346,17 +332,18 @@ void World::source_event_insert(int source_id, int msg_id, Pid to,
                    source_id < static_cast<int>(source_caches_.size()),
                "push from unattached source " << source_id);
   SourceCache& c = source_caches_[source_id];
-  // Deltas arriving before the first sync are dropped; the sync enumerates
-  // the full set.
-  if (!c.push_synced) return;
-  BLUNT_ASSERT(c.events.empty() || c.events.back().msg_id < msg_id,
-               "push-mode insert out of msg_id order");
+  if (!c.synced) return;  // the next sync enumerates the full set
+  auto it = std::lower_bound(
+      c.events.begin(), c.events.end(), msg_id,
+      [](const Event& e, int id) { return e.msg_id < id; });
+  BLUNT_ASSERT(it == c.events.end() || it->msg_id != msg_id,
+               "insert of already indexed msg " << msg_id);
   std::string_view sv{};
   if (trace_.wants_what()) {
-    c.sums.push_back(std::make_unique<std::string>(std::move(summary)));
-    sv = *c.sums.back();
+    sv = **c.sums.insert(c.sums.begin() + (it - c.events.begin()),
+                         std::make_unique<std::string>(std::move(summary)));
   }
-  c.events.push_back({Event::Kind::kDeliver, to, source_id, msg_id, sv});
+  c.events.insert(it, {Event::Kind::kDeliver, to, source_id, msg_id, sv});
   if (prof_) {
     prof_->count(obs::ProfCounter::kEventsScanned);
     prof_->count(obs::ProfCounter::kIndexUpdates);
@@ -368,12 +355,12 @@ void World::source_event_erase(int source_id, int msg_id) {
                    source_id < static_cast<int>(source_caches_.size()),
                "push from unattached source " << source_id);
   SourceCache& c = source_caches_[source_id];
-  if (!c.push_synced) return;
+  if (!c.synced) return;
   auto it = std::lower_bound(
       c.events.begin(), c.events.end(), msg_id,
       [](const Event& e, int id) { return e.msg_id < id; });
   BLUNT_ASSERT(it != c.events.end() && it->msg_id == msg_id,
-               "push-mode erase of unindexed msg " << msg_id);
+               "erase of unindexed msg " << msg_id);
   if (trace_.wants_what()) {
     c.sums.erase(c.sums.begin() + (it - c.events.begin()));
   }
@@ -390,8 +377,11 @@ void World::execute(const Event& e) {
   ++sched_steps_;
   trace_.set_sched_step(sched_steps_);
   // Step-indexed fault transitions (partition opens/heals) fire first, so a
-  // delivery executed at step s sees the channel state of step s.
-  if (fault_layer_ != nullptr) fault_layer_->on_step(*this);
+  // delivery executed at step s sees the channel state of step s. A
+  // transition changes deliverability behind every source's back: resync.
+  if (fault_layer_ != nullptr && fault_layer_->on_step(*this)) {
+    for (SourceCache& c : source_caches_) c.synced = false;
+  }
   switch (e.kind) {
     case Event::Kind::kResume:
       resume_slot(e.pid);

@@ -166,9 +166,9 @@ class Adversary {
                              const std::vector<Event>& enabled) = 0;
 };
 
-/// The World implements EnabledIndexSink so push-mode delivery sources
-/// (net::Network without a fault layer) can maintain the incremental
-/// enabled-index directly instead of being re-enumerated every step.
+/// The World implements EnabledIndexSink so every delivery source maintains
+/// the incremental enabled-index directly instead of being re-enumerated
+/// every step.
 class World : public EnabledIndexSink {
  public:
   using ProcessBody = std::function<Task<void>(Proc)>;
@@ -192,7 +192,8 @@ class World : public EnabledIndexSink {
 
   /// Installs the fault-injection interposition layer (nullptr = none, the
   /// default). While installed, the World calls layer->on_step() on every
-  /// executed step and offers a kTick event whenever layer->tick_pending().
+  /// executed step, resyncing the delivery sources when it reports a
+  /// partition transition, and offers a kTick whenever layer->tick_pending().
   /// Networks consult the same layer separately (net::Network::
   /// set_fault_layer); installing one here does not rewire networks.
   void set_fault_layer(FaultLayer* layer) { fault_layer_ = layer; }
@@ -232,7 +233,7 @@ class World : public EnabledIndexSink {
   /// parked). No-op for non-blocked / polled / already-indexed processes.
   void wake_hint(Pid pid);
 
-  // -- EnabledIndexSink (called by push-mode delivery sources) --
+  // -- EnabledIndexSink (called by delivery sources) --
 
   void source_event_insert(int source_id, int msg_id, Pid to,
                            std::string&& summary) override;
@@ -345,14 +346,12 @@ class World : public EnabledIndexSink {
   // Per-source slice of the incremental enabled-index: this source's
   // deliverable events in msg_id order, plus stable storage for their
   // formatted summaries (only populated at full trace detail; unique_ptr so
-  // the Event string_views survive vector growth). Refreshed per the
-  // source's enumeration_version() contract, or maintained by push deltas.
+  // the Event string_views survive vector growth). Maintained by the
+  // source's pushed deltas once synced; a fault transition unsyncs it.
   struct SourceCache {
     std::vector<Event> events;
     std::vector<std::unique_ptr<std::string>> sums;
-    std::int64_t version_seen = 0;
-    bool synced = false;       // versioned mode: version_seen is meaningful
-    bool push_synced = false;  // push mode: deltas are being applied
+    bool synced = false;  // enumerated once; deltas are being applied
   };
 
   void resume_slot(Pid pid);
@@ -392,10 +391,8 @@ class World : public EnabledIndexSink {
   // Hot per-process state, struct-of-arrays twin of slots_ (same indexing).
   std::vector<ProcState> states_;
   std::vector<DeliverySource*> sources_;
-  // Reused by enabled_events(): the event list and one pending-delivery
-  // buffer per source, so steady-state enumeration allocates nothing.
+  // Reused by enabled_events(), so steady-state enumeration allocates nothing.
   mutable std::vector<Event> events_buf_;
-  mutable std::vector<std::vector<PendingDelivery>> pending_bufs_;
   // -- Incremental enabled-index (DESIGN.md §14) --
   // Resume events for every process whose resume is currently enabled
   // (kNotStarted, kReady, and signaled-blocked with a true predicate),

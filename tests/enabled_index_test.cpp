@@ -6,8 +6,9 @@
 // wait predicate, re-enumerating every delivery source) and BLUNT_ASSERTs
 // byte equality element by element. These tests drive that oracle through
 // every index code path — resume-region replace/erase/insert, polled and
-// signaled waits, pushed network deltas, version-stamped resend tokens, the
-// fault-layer push latch, crashes, and fault ticks — at all three
+// signaled waits, pushed network deltas (with and without a fault layer,
+// including one installed mid-run), pushed resend tokens, the resync after a
+// partition opens or heals, crashes, and fault ticks — at all three
 // trace-detail levels, and additionally pin the flag-off run to the flag-on
 // fingerprint (the oracle must observe, never perturb).
 #include <gtest/gtest.h>
@@ -90,8 +91,8 @@ Outcome run_weakener(int k, int n, std::uint64_t seed, sim::TraceDetail d,
 }
 
 /// Chaos world: fault plan (crashes, partitions, loss, duplication, ticks),
-/// retransmission tokens (version-stamped source), fault layer set BEFORE
-/// the first step (push latch engaged — the network is rescanned).
+/// pushed retransmission tokens, fault layer set before the first step; every
+/// partition transition resyncs the sources once.
 Outcome run_chaos(std::uint64_t seed, int k, sim::TraceDetail d,
                   bool verify) {
   const fault::FaultPlan plan = fault::random_plan(
@@ -123,6 +124,82 @@ Outcome run_chaos(std::uint64_t seed, int k, sim::TraceDetail d,
   return {res.status, res.steps, adv.h_};
 }
 
+/// A fault layer installed mid-run. Three ABD clients with resend tokens;
+/// after p0's first query broadcast is in flight, the World-side injector
+/// arrives and its partition cuts p0 off at step 3. Only after the World has
+/// resynced (the step-4 scan) and p1 has broadcast too is the network pointed
+/// at it, so the install itself must push the severed messages out of the
+/// index. p0 cannot reach a quorum until the partition heals, so it heals
+/// with those messages still held.
+Outcome run_late_fault_layer(sim::TraceDetail d, bool verify) {
+  sim::World w(sim::Config{.trace_detail = d, .verify_enabled_index = verify},
+               std::make_unique<sim::SeededCoin>(17));
+  objects::AbdRegister reg(
+      "R", w,
+      objects::AbdRegister::Options{.num_processes = 3, .max_retransmits = 2});
+  for (Pid pid = 0; pid < 3; ++pid) {
+    w.add_process("p" + std::to_string(pid),
+                  [&reg, pid](sim::Proc p) -> sim::Task<void> {
+                    co_await reg.write(p, sim::Value(std::int64_t{pid + 1}));
+                    (void)co_await reg.read(p);
+                  });
+  }
+  // Step 1 starts p0, step 2 broadcasts its first query.
+  for (int i = 0; i < 2; ++i) w.execute(w.enabled_events().front());
+  fault::FaultPlan plan;
+  plan.num_processes = 3;
+  plan.partitions.push_back({/*side_mask=*/0b001, /*open=*/3, /*heal=*/40});
+  fault::FaultInjector injector(plan, w);
+  // Step 3 opens the partition and starts p1; step 4 broadcasts p1's query.
+  for (int i = 0; i < 2; ++i) w.execute(w.enabled_events().front());
+  reg.set_fault_layer(&injector);
+  EXPECT_NE(w.describe_stuck().find("held by partition"), std::string::npos);
+  sim::UniformAdversary uni(23);
+  HashingAdversary adv(uni);
+  const sim::RunResult res = w.run(adv);
+  EXPECT_EQ(injector.partitions_healed(), 1);
+  return {res.status, res.steps, adv.h_};
+}
+
+/// Duplicates every message; installed on the network only, so the World
+/// has no fault layer, never ticks and never resyncs.
+class DuplicateEverything final : public sim::FaultLayer {
+ public:
+  sim::SendFate on_send(const std::string&, Pid, Pid) override {
+    return {.lose = false, .copies = 2};
+  }
+  [[nodiscard]] bool channel_blocked(Pid, Pid) const override {
+    return false;
+  }
+  bool on_step(sim::World&) override { return false; }
+  [[nodiscard]] bool tick_pending(const sim::World&) const override {
+    return false;
+  }
+};
+
+Outcome run_duplicating(sim::TraceDetail d, bool verify) {
+  sim::World w(sim::Config{.max_crashes = 1,
+                           .trace_detail = d,
+                           .verify_enabled_index = verify},
+               std::make_unique<sim::SeededCoin>(29));
+  objects::AbdRegister reg(
+      "R", w,
+      objects::AbdRegister::Options{.num_processes = 3, .max_retransmits = 2});
+  DuplicateEverything dup;
+  reg.set_fault_layer(&dup);
+  for (Pid pid = 0; pid < 3; ++pid) {
+    w.add_process("p" + std::to_string(pid),
+                  [&reg, pid](sim::Proc p) -> sim::Task<void> {
+                    co_await reg.write(p, sim::Value(std::int64_t{pid + 1}));
+                    (void)co_await reg.read(p);
+                  });
+  }
+  sim::UniformAdversary uni(31);
+  HashingAdversary adv(uni);
+  const sim::RunResult res = w.run(adv);
+  return {res.status, res.steps, adv.h_};
+}
+
 constexpr sim::TraceDetail kLevels[] = {
     sim::TraceDetail::kFull, sim::TraceDetail::kKinds, sim::TraceDetail::kNone};
 
@@ -140,7 +217,9 @@ TEST(EnabledIndex, WeakenerMatchesRescanOracleAtEveryDetailLevel) {
                                       d, /*verify=*/true);
       EXPECT_EQ(on.status, off.status);
       EXPECT_EQ(on.steps, off.steps);
-      if (d == sim::TraceDetail::kFull) EXPECT_EQ(on.hash, off.hash);
+      if (d == sim::TraceDetail::kFull) {
+        EXPECT_EQ(on.hash, off.hash);
+      }
     }
   }
 }
@@ -158,7 +237,8 @@ TEST(EnabledIndex, WiderQuorumsMatchRescanOracle) {
 }
 
 TEST(EnabledIndex, ChaosMatchesRescanOracleAtEveryDetailLevel) {
-  for (const std::uint64_t seed : {11ULL, 21ULL, 33ULL}) {
+  for (const std::uint64_t seed :
+       {11ULL, 21ULL, 33ULL, 45ULL, 57ULL, 69ULL, 81ULL, 93ULL}) {
     for (const int k : {1, 2}) {
       const Outcome off =
           run_chaos(seed, k, sim::TraceDetail::kFull, /*verify=*/false);
@@ -166,8 +246,37 @@ TEST(EnabledIndex, ChaosMatchesRescanOracleAtEveryDetailLevel) {
         const Outcome on = run_chaos(seed, k, d, /*verify=*/true);
         EXPECT_EQ(on.status, off.status);
         EXPECT_EQ(on.steps, off.steps);
-        if (d == sim::TraceDetail::kFull) EXPECT_EQ(on.hash, off.hash);
+        if (d == sim::TraceDetail::kFull) {
+          EXPECT_EQ(on.hash, off.hash);
+        }
       }
+    }
+  }
+}
+
+TEST(EnabledIndex, LateFaultLayerMatchesRescanOracleAtEveryDetailLevel) {
+  const Outcome off =
+      run_late_fault_layer(sim::TraceDetail::kFull, /*verify=*/false);
+  EXPECT_EQ(off.status, sim::RunStatus::kCompleted);
+  for (const sim::TraceDetail d : kLevels) {
+    const Outcome on = run_late_fault_layer(d, /*verify=*/true);
+    EXPECT_EQ(on.status, off.status);
+    EXPECT_EQ(on.steps, off.steps);
+    if (d == sim::TraceDetail::kFull) {
+      EXPECT_EQ(on.hash, off.hash);
+    }
+  }
+}
+
+TEST(EnabledIndex, NetworkOnlyFaultLayerMatchesRescanOracle) {
+  const Outcome off =
+      run_duplicating(sim::TraceDetail::kFull, /*verify=*/false);
+  for (const sim::TraceDetail d : kLevels) {
+    const Outcome on = run_duplicating(d, /*verify=*/true);
+    EXPECT_EQ(on.status, off.status);
+    EXPECT_EQ(on.steps, off.steps);
+    if (d == sim::TraceDetail::kFull) {
+      EXPECT_EQ(on.hash, off.hash);
     }
   }
 }

@@ -166,6 +166,32 @@ TEST(FaultInjector, PartitionedMessagesShowInDeadlockDiagnostics) {
   EXPECT_NE(stuck.find("msg5"), std::string::npos);
 }
 
+TEST(FaultInjector, OnStepReportsExactlyThePartitionTransitions) {
+  // The World resyncs its delivery sources only on steps where on_step
+  // returns true, so it must be true on every open and heal and nowhere
+  // else. Step 6 heals one partition and opens the other.
+  FaultPlan plan;
+  plan.num_processes = 2;
+  plan.partitions.push_back({/*side_mask=*/0b01, /*open=*/2, /*heal=*/6});
+  plan.partitions.push_back({/*side_mask=*/0b01, /*open=*/6, /*heal=*/9});
+
+  sim::World w(sim::Config{}, std::make_unique<sim::SeededCoin>(1));
+  FaultInjector inj(plan, w);
+  w.set_fault_layer(nullptr);  // drive on_step by hand
+  w.add_process("p0", [](sim::Proc p) -> sim::Task<void> {
+    for (int i = 0; i < 12; ++i) co_await p.yield(sim::StepKind::kLocal, "x");
+  });
+  std::vector<int> transitions;
+  for (int step = 1; step <= 12; ++step) {
+    w.execute(w.enabled_events().front());
+    ASSERT_EQ(w.steps_executed(), step);
+    if (inj.on_step(w)) transitions.push_back(step);
+  }
+  EXPECT_EQ(transitions, (std::vector<int>{2, 6, 9}));
+  EXPECT_EQ(inj.partitions_opened(), 2);
+  EXPECT_EQ(inj.partitions_healed(), 2);
+}
+
 TEST(ChaosAdversary, ExecutesExactlyTheScriptedCrashes) {
   FaultPlan plan;
   plan.num_processes = 2;
