@@ -9,7 +9,7 @@
 #include <memory>
 #include <string>
 
-#include "bench_util.hpp"
+#include "exp/workloads.hpp"
 #include "lin/check.hpp"
 #include "lin/history.hpp"
 #include "lin/strong.hpp"
@@ -148,11 +148,11 @@ int main(int argc, char** argv) {
   report.set_metric_json("benchmarks",
                          blunt::obs::Json(std::move(reporter.rows)));
   // Instrumented probe: the same ABD workload the micro-benchmarks measure.
-  blunt::bench::merge_probe(
-      report, blunt::bench::run_instrumented_weakener(/*coin_seed=*/0,
+  blunt::exp::merge_probe(
+      report, blunt::exp::run_instrumented_weakener(/*coin_seed=*/0,
                                                       /*sched_seed=*/0,
                                                       /*k=*/1)
                   .snapshot);
-  blunt::bench::write_report(report);
+  blunt::exp::write_report(report);
   return 0;
 }

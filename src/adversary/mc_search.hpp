@@ -1,20 +1,17 @@
-// Monte-Carlo adversary baselines.
+// Monte-Carlo trial instances.
 //
-// A uniformly random scheduler is an (oblivious, weak) adversary; taking the
-// best of many scheduler seeds gives an empirical LOWER bound on
-// Prob[P(O) → B] and — more interestingly — a contrast exhibit: random
-// scheduling almost never realizes the bad outcome that a crafted strong
-// adversary (Figure 1) forces with probability 1. Exact values come from
-// src/game; this module only brackets them from below on the real simulator.
+// A uniformly random scheduler is an (oblivious, weak) adversary; running it
+// over many coin seeds gives an empirical LOWER bound on Prob[P(O) → B] and —
+// more interestingly — a contrast exhibit: random scheduling almost never
+// realizes the bad outcome that a crafted strong adversary (Figure 1) forces
+// with probability 1. Exact values come from src/game; the registered
+// experiments (src/exp) run these instances as their trial bodies.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
 
-#include "common/stats.hpp"
-#include "obs/metrics.hpp"
 #include "sim/world.hpp"
 
 namespace blunt::adversary {
@@ -26,27 +23,5 @@ struct McInstance {
   std::function<bool()> bad;
   std::vector<std::shared_ptr<void>> owned;
 };
-
-/// Builds a trial for the given (coin seed) pair; the factory decides how to
-/// seed the world's CoinSource.
-using McFactory = std::function<McInstance(std::uint64_t coin_seed)>;
-
-struct McSearchResult {
-  double best_rate = 0.0;       // best per-seed bad-outcome rate
-  std::uint64_t best_seed = 0;  // scheduler seed achieving it
-  BernoulliEstimator pooled;    // all trials pooled
-};
-
-/// For each scheduler seed, runs `trials_per_seed` coin-seeded trials under a
-/// uniformly random scheduler, and reports the best per-seed rate and the
-/// pooled estimate.
-///
-/// `metrics` (optional) receives the search-level observability counters:
-/// mc.trials, mc.schedules_explored (scheduler seeds tried), mc.bad_outcomes,
-/// and the mc.steps_per_trial histogram of scheduler steps per completed
-/// trial.
-[[nodiscard]] McSearchResult search_random_adversaries(
-    const McFactory& factory, int scheduler_seeds, int trials_per_seed,
-    obs::MetricsRegistry* metrics = nullptr);
 
 }  // namespace blunt::adversary

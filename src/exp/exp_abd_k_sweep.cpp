@@ -12,18 +12,20 @@
 // Paper shape reproduced: k = 1 gives 1 (zero termination, Appendix A.2);
 // k = 2 gives exactly 5/8 (the refined A.3.2 bound is tight, termination
 // 3/8 >= the generic 1/8); values decrease toward the atomic 1/2 as k grows.
-// Beyond the paper: the exact values follow 1/2 + 1/(2k²) for k >= 2.
+// Beyond the paper: the exact values follow 1/2 + 1/(2k²) for k >= 2. The
+// k = 2 row also carries Appendix A.3.2's refined-bound verdict and prints
+// one optimal adversary line of play.
 //
 // Engine port: the Monte-Carlo baseline is the trial phase. The trial space
 // is structured — index i encodes (k, scheduler seed s, trial t) as
-// k = i/500 + 1, s = (i%500)/100, t = i%100 — and the coin seeds reproduce
-// adversary::search_random_adversaries exactly (coin = s·1000003 + t,
-// scheduler = s), so the ported MC columns match the pre-port serial bench
-// bit for bit. The exact game solves stay serial, in finalize.
+// k = i/500 + 1, s = (i%500)/100, t = i%100, so --trials picks the k range —
+// and the coin seeds reproduce the pre-port serial search exactly
+// (coin = s·1000003 + t, scheduler = s), so the ported MC columns match the
+// pre-port bench bit for bit. The exact game solves stay serial, in
+// finalize.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/assert.hpp"
 #include "core/bounds.hpp"
@@ -38,21 +40,16 @@ namespace {
 constexpr int kSchedulerSeeds = 5;
 constexpr int kTrialsPerSeed = 100;
 constexpr std::int64_t kTrialsPerK = kSchedulerSeeds * kTrialsPerSeed;
+constexpr int kStrategyMoves = 18;  // printed prefix of the ABD^2 line of play
 
-int max_k_from_env() {
-  int max_k = 3;  // k=4 adds ~40s; enable with BLUNT_MAX_K=4
-  if (const char* env = std::getenv("BLUNT_MAX_K")) {
-    max_k = std::atoi(env);
-    if (max_k < 1) max_k = 1;
-    if (max_k > 4) max_k = 4;
-  }
-  return max_k;
-}
-
-std::int64_t resolve_trials(std::int64_t /*requested*/) {
-  // The trial space is structured by (k, s, t); BLUNT_MAX_K — not --trials —
-  // controls its size.
-  return max_k_from_env() * kTrialsPerK;
+/// --trials picks the k range: k_max = ceil(trials / 500), clamped to 1..4
+/// (the default 1500 sweeps k = 1..3; k = 4 adds ~40s of exact solving).
+std::int64_t resolve_trials(std::int64_t requested) {
+  if (requested < 0) requested = 3 * kTrialsPerK;
+  const std::int64_t max_k =
+      std::clamp<std::int64_t>((requested + kTrialsPerK - 1) / kTrialsPerK, 1,
+                               4);
+  return max_k * kTrialsPerK;
 }
 
 std::string tally_key(int k, std::uint64_t s) {
@@ -86,9 +83,9 @@ void trial(const TrialContext& ctx, Accumulator& acc) {
   const bool bad = inst.bad();
   acc.tally(tally_key(k, s)).add(bad);
 
-  // The same search-level observability counters search_random_adversaries
-  // keeps: one schedules_explored per (k, s) — pinned to t == 0 so the count
-  // is a function of the trial space, not of who ran what.
+  // Search-level observability counters: one schedules_explored per (k, s)
+  // — pinned to t == 0 so the count is a function of the trial space, not
+  // of who ran what.
   obs::MetricsRegistry m;
   if (t == 0) m.counter(obs::kMcSchedulesExplored)->inc();
   m.counter(obs::kMcTrials)->inc();
@@ -116,11 +113,16 @@ int finalize(obs::BenchReport& report, const Accumulator& acc,
   const Rational prob_atomic(1, 2);  // Prob[O_a]: Appendix A.1
 
   obs::JsonArray sweep_rows;
+  // k = 2 is Appendix A.3.2's case: it also extracts one optimal line of
+  // play, from the same memo that yields the value and the state count.
+  std::vector<game::StrategyEdge> strategy;
   for (int k = 1; k <= max_k; ++k) {
     const auto t0 = std::chrono::steady_clock::now();
-    game::SolveStats stats;
-    const Rational exact =
-        game::solve(game::AbdPhaseWeakenerGame(k), &stats);
+    game::Solution sol = game::solve_with_strategy(
+        game::AbdPhaseWeakenerGame(k), k == 2 ? kStrategyMoves : 0);
+    if (k == 2) strategy = std::move(sol.strategy);
+    const Rational& exact = sol.value;
+    const game::SolveStats& stats = sol.stats;
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -158,12 +160,27 @@ int finalize(obs::BenchReport& report, const Accumulator& acc,
                          prob_lin.to_double(), prob_atomic.to_double(),
                          exact.to_double());
     }
+    if (k == 2) {
+      report.set_metric("termination_probability",
+                        (Rational(1) - exact).to_double());
+      report.set_metric_bool("refined_bound_tight", exact == Rational(5, 8));
+      report.set_metric_int("strategy_moves_extracted",
+                            static_cast<std::int64_t>(strategy.size()));
+    }
   }
   print_rule();
   std::printf(
       "paper checkpoints: k=1 bad=1 (A.2); k=2 bad<=5/8 (A.3.2) — the exact\n"
       "value IS 5/8, so the refined analysis is tight; generic Thm 4.2 gives\n"
       "only 7/8. Exact values follow 1/2 + 1/(2k^2) for k>=2 (beyond-paper).\n");
+  if (!strategy.empty()) {
+    std::printf("\nfirst moves of one optimal ABD^2 adversary line of play:\n");
+    for (std::size_t i = 0; i < strategy.size(); ++i) {
+      std::printf("  %2zu. %-44s (subtree value %s)\n", i + 1,
+                  strategy[i].label.c_str(),
+                  strategy[i].value.to_string().c_str());
+    }
+  }
 
   report.set_metric_json("sweep", obs::Json(std::move(sweep_rows)));
   report.set_environment_int("max_k", max_k);
@@ -184,11 +201,11 @@ Experiment make_abd_k_sweep_experiment() {
   e.name = "abd_k_sweep";
   e.description =
       "weakener over ABD^k: exact adversary value vs Theorem 4.2 bound + MC "
-      "baseline (trial space fixed by BLUNT_MAX_K, 500 trials per k)";
+      "baseline (--trials picks k = 1..ceil(trials/500), at most 4)";
   e.default_trials = 3 * kTrialsPerK;
   e.default_seed = 0;
   // The trial bodies derive their coin seeds from the trial index alone
-  // (reproducing the pre-port search_random_adversaries seeds), so kLinear
+  // (reproducing the pre-port serial search seeds), so kLinear
   // keeps derived seeds == historical seeds and the committed baselines
   // bit-for-bit valid.
   e.seed_derivation = SeedDerivation::kLinear;

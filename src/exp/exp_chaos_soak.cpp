@@ -18,8 +18,8 @@
 // the soak; the planted bug must not — this validates that the harness can
 // actually catch (and explain) quorum bugs.
 //
-// BLUNT_CHAOS_TRIALS (or --trials, which wins) sets the per-configuration
-// ABD trial count; shared-memory objects run min(that, 150) trials each.
+// --trials sets the per-configuration ABD trial count; shared-memory
+// objects run min(that, 150) trials each.
 //
 // Engine port: the trial space concatenates the four soak groups —
 // [0, a) ABD k=1, [a, 2a) ABD k=2, then Vitanyi and Israeli-Li crash-only
@@ -29,7 +29,6 @@
 // sequential (stop at the first violation, then ddmin) and runs in finalize.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -316,17 +315,9 @@ ChaosLayout layout_from_total(std::int64_t total) {
   return l;
 }
 
-std::int64_t abd_trials_requested(std::int64_t requested) {
-  if (requested > 0) return requested;
-  if (const char* env = std::getenv("BLUNT_CHAOS_TRIALS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return 550;  // default exceeds the 1000-plan acceptance bar
-}
-
 std::int64_t resolve_trials(std::int64_t requested) {
-  const std::int64_t a = abd_trials_requested(requested);
+  // The default 550 exceeds the 1000-plan acceptance bar.
+  const std::int64_t a = requested > 0 ? requested : 550;
   return 2 * a + 2 * std::min<std::int64_t>(a, kSharedMemCap);
 }
 
@@ -535,7 +526,7 @@ Experiment make_chaos_soak_experiment() {
   e.name = "chaos_soak";
   e.description =
       "randomized fault plans x objects, all runs lin-checked + planted-bug "
-      "shrink demo (--trials or BLUNT_CHAOS_TRIALS = ABD trials per k)";
+      "shrink demo (--trials = ABD trials per k)";
   e.default_trials = resolve_trials(-1);
   e.default_seed = 0;
   e.seed_derivation = SeedDerivation::kLinear;

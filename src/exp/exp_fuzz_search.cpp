@@ -28,7 +28,7 @@
 // artifact whose bytes depend only on the record set — identical for any
 // --threads and across kill/resume. Knobs: $BLUNT_FUZZ_CORPUS_PATH (journal
 // path; default $BLUNT_BENCH_DIR/FUZZ_CORPUS.jsonl), $BLUNT_FUZZ_CORPUS=0
-// (disable persistence), $BLUNT_FUZZ_TRIALS (trial-count override).
+// (disable persistence).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -72,10 +72,6 @@ std::string corpus_path() {
 }
 
 std::int64_t resolve_fuzz_trials(std::int64_t requested) {
-  if (const char* env = std::getenv("BLUNT_FUZZ_TRIALS")) {
-    const long v = std::atol(env);
-    if (v > 0) requested = v;
-  }
   if (requested <= 0) requested = kLayoutTrials;
   return std::min<std::int64_t>(requested, kLayoutTrials);
 }
@@ -357,7 +353,6 @@ int fuzz_finalize(obs::BenchReport& report, const Accumulator& acc,
   }
 
   report_coverage(report, acc, info);
-  write_report(report);
   return exit_code;
 }
 

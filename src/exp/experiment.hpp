@@ -6,7 +6,7 @@
 // exact game solves, closed-form tables, instrumented probe runs, and the
 // human-readable console tables all live in finalize, where they run once on
 // the aggregator thread. The registry makes each experiment addressable by
-// name from the unified `blunt_exp` CLI and from the thin bench mains.
+// name from the unified `blunt_exp` CLI.
 #pragma once
 
 #include <cstdint>
@@ -80,9 +80,9 @@ struct Experiment {
   int default_shard_size = 0;
   SeedDerivation seed_derivation = SeedDerivation::kSplitMix64;
 
-  /// Optional env-knob hook: maps the CLI/default trial count to the
-  /// effective one (e.g. chaos_soak honoring $BLUNT_CHAOS_TRIALS, the k
-  /// sweep honoring $BLUNT_MAX_K). Called once before sharding.
+  /// Optional layout hook: maps the --trials request (-1 when absent) to the
+  /// effective trial count — e.g. abd_k_sweep rounds it to whole k blocks,
+  /// and fixed-layout experiments ignore it. Called once before sharding.
   std::function<std::int64_t(std::int64_t requested)> resolve_trials;
 
   /// The shardable per-trial body. MUST be thread-compatible: worlds,
@@ -105,8 +105,8 @@ void register_experiment(Experiment e);
 [[nodiscard]] const Experiment* find_experiment(const std::string& name);
 [[nodiscard]] std::vector<const Experiment*> list_experiments();
 
-/// Registers the ported bench suite (theorem42_bound, abd_k_sweep,
-/// chaos_soak, equivalence_soak, snapshot_blunting, hotpath). Idempotent.
+/// Registers every builtin experiment (the exp_*.cpp factories listed in
+/// exp/experiments.cpp). Idempotent.
 void register_builtin_experiments();
 
 }  // namespace blunt::exp

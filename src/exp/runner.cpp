@@ -94,13 +94,4 @@ int run_registered(const std::string& name, const RunOptions& opts) {
   return run_and_report(*e, opts);
 }
 
-int run_experiment_main(const std::string& name) {
-  RunOptions opts;
-  if (const char* env = std::getenv("BLUNT_EXP_THREADS")) {
-    const int t = std::atoi(env);
-    if (t > 0) opts.threads = t;
-  }
-  return run_registered(name, opts);
-}
-
 }  // namespace blunt::exp

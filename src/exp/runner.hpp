@@ -1,8 +1,8 @@
 // The report-producing wrapper around the engine: run an experiment's trial
 // phase, hand the merged accumulator to its serial finalize hook, stamp
 // engine provenance and wall clocks, and emit the standard schema-v1
-// BENCH_<name>.json + single ledger append. Both the unified `blunt_exp` CLI
-// and the thin per-bench mains funnel through here.
+// BENCH_<name>.json + single ledger append. The unified `blunt_exp` CLI
+// funnels through here.
 #pragma once
 
 #include <string>
@@ -32,10 +32,5 @@ int run_and_report(const Experiment& e, const RunOptions& opts);
 /// Looks `name` up in the registry (registering builtins first) and runs it.
 /// Unknown names print to stderr and return 2.
 int run_registered(const std::string& name, const RunOptions& opts);
-
-/// Entry point for the thin bench mains (bench_<name> binaries): runs the
-/// registered experiment with default options, honoring $BLUNT_EXP_THREADS
-/// (default 1, the historical serial behavior).
-int run_experiment_main(const std::string& name);
 
 }  // namespace blunt::exp

@@ -13,10 +13,10 @@
 //                  The default for new experiments: adjacent trial indices
 //                  land in statistically unrelated parts of the seed space.
 //   kLinear      — trial_seed = experiment_seed + trial_index.
-//                  The degenerate counter derivation. The five ported benches
-//                  use it so their per-trial coin seeds stay the historical
-//                  `trial index` values and the committed bench/baselines
-//                  remain bit-for-bit reproducible. Still a pure function of
+//                  The degenerate counter derivation. The experiments ported
+//                  from standalone benches use it so their per-trial coin
+//                  seeds stay the historical `trial index` values and their
+//                  reports remain bit-for-bit reproducible. Still a pure function of
 //                  (experiment_seed, trial_index), so every determinism
 //                  guarantee holds identically.
 #pragma once

@@ -1,8 +1,6 @@
-// Shared workload builders and report conventions for experiments and
-// benches. Historically these lived in bench/bench_util.hpp; they moved here
-// so registered experiments (src/exp/exp_*.cpp) and the remaining standalone
-// benches draw on one copy. bench/bench_util.hpp re-exports everything into
-// blunt::bench.
+// Shared workload builders and report conventions for the registered
+// experiments (src/exp/exp_*.cpp) and the google-benchmark checker suite
+// (bench/bench_lin_checker.cpp).
 #pragma once
 
 #include <algorithm>
@@ -33,7 +31,7 @@
 namespace blunt::exp {
 
 /// Replication width of the weakener's ABD registers (the paper's n = 3).
-/// Shared by make_abd_weakener and the sweep benches so a sweep can vary it
+/// Shared by make_abd_weakener and the sweeps so a sweep can vary it
 /// in one place.
 inline constexpr int kWeakenerNumProcesses = 3;
 

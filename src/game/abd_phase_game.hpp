@@ -24,7 +24,7 @@
 // fire but not their outcomes, and its later moves may depend on outcomes
 // already fired — the strong adversary of Section 2.4.
 //
-// Expected values (reproduced by tests and bench_abd2_exact_game):
+// Expected values (reproduced by tests and the abd_k_sweep experiment):
 //   k = 1: value 1   — the Figure 1 adversary forces nontermination.
 //   k = 2: value in [1/2, 5/8] — Appendix A.3.2 bounds the adversary by 5/8;
 //          the exact game value pins the true optimum at this granularity.

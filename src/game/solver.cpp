@@ -66,11 +66,13 @@ Rational solve(const GameModel& model, SolveStats* stats) {
   return v;
 }
 
-std::vector<StrategyEdge> extract_strategy(const GameModel& model,
-                                           int max_edges) {
+Solution solve_with_strategy(const GameModel& model, int max_edges) {
   Solver s(model);
-  std::vector<StrategyEdge> edges;
+  Solution sol;
   std::string state = model.initial();
+  sol.value = s.value(state, 0);
+  sol.stats = s.stats();
+  // Every state below is already memoized: the walk only reads values.
   for (int i = 0; i < max_edges; ++i) {
     const Expansion e = model.expand(state);
     if (e.kind == Expansion::Kind::kTerminal) break;
@@ -84,18 +86,18 @@ std::vector<StrategyEdge> extract_strategy(const GameModel& model,
           best = j;
         }
       }
-      edges.push_back({e.labels.size() > best ? e.labels[best] : "?", false,
-                       -1, best_v});
+      sol.strategy.push_back(
+          {e.labels.size() > best ? e.labels[best] : "?", false, -1, best_v});
       state = e.next[best];
     } else {
       // Chance: follow outcome 0 (callers wanting full trees re-run with a
       // conditioned model); record the branch taken.
-      edges.push_back({e.labels.empty() ? "coin" : e.labels[0], true, 0,
-                       s.value(e.next[0], 0)});
+      sol.strategy.push_back({e.labels.empty() ? "coin" : e.labels[0], true,
+                              0, s.value(e.next[0], 0)});
       state = e.next[0];
     }
   }
-  return edges;
+  return sol;
 }
 
 }  // namespace blunt::game

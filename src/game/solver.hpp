@@ -59,7 +59,7 @@ struct SolveStats {
 [[nodiscard]] Rational solve(const GameModel& model, SolveStats* stats = nullptr);
 
 /// One (of possibly several) optimal adversary line of play: from the root,
-/// follow argmax moves at adversary nodes and EVERY branch at chance nodes,
+/// follow argmax moves at adversary nodes and outcome 0 at chance nodes,
 /// reporting move labels. Useful to print the extracted adversary strategy
 /// (e.g. the Figure 1 schedule falls out of the k=1 ABD game).
 struct StrategyEdge {
@@ -69,7 +69,16 @@ struct StrategyEdge {
   Rational value;    // subtree value
 };
 
-[[nodiscard]] std::vector<StrategyEdge> extract_strategy(
-    const GameModel& model, int max_edges = 200);
+struct Solution {
+  Rational value;
+  SolveStats stats;
+  std::vector<StrategyEdge> strategy;  // at most max_edges moves
+};
+
+/// solve() plus one optimal line of play, both read from the same memo: the
+/// state graph is expanded once, and `stats` counts exactly what solve()
+/// would.
+[[nodiscard]] Solution solve_with_strategy(const GameModel& model,
+                                           int max_edges = 200);
 
 }  // namespace blunt::game

@@ -18,7 +18,7 @@
 //
 // The register plumbing is object-generic: instantiate the register arrays
 // as atomic, ABD, ABD^k, or Vitanyi–Awerbuch registers and the same program
-// runs unchanged. bench_consensus measures rounds-to-decide across
+// runs unchanged. The consensus experiment measures rounds-to-decide across
 // implementations; tests assert agreement/validity on every run.
 #pragma once
 

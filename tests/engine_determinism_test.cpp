@@ -14,13 +14,19 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
+#include "exp/runner.hpp"
 #include "exp/seed.hpp"
+#include "obs/ledger.hpp"
 #include "obs/report.hpp"
 
 namespace blunt::exp {
@@ -300,39 +306,147 @@ TEST(EngineCheckpoint, KilledMidRunResumesBitIdentical) {
                 .merged.canonical_dump());
 }
 
-TEST(BuiltinExperiments, Theorem42MetricsThreadCountIndependent) {
-  register_builtin_experiments();
-  const Experiment* e = find_experiment("theorem42_bound");
-  ASSERT_NE(e, nullptr);
-  RunOptions small = opts_with(1);
-  small.trials = 128;  // keep the test fast; real runs use the default 3000
-  const RunOutput serial = run_trials(*e, small);
-  small.threads = 4;
-  const RunOutput parallel = run_trials(*e, small);
-  ASSERT_EQ(serial.merged.to_json().dump(), parallel.merged.to_json().dump());
+/// A registered experiment's merged accumulators and finalized report.
+struct Finalized {
+  std::string merged;  // merged.to_json().dump()
+  obs::Json report;
+};
 
-  // Report-level check: finalize on the merged accumulators produces
-  // byte-identical metrics sections (timings and engine provenance are the
-  // only allowed differences between thread counts, and they live in other
-  // sections).
-  obs::BenchReport ra(e->name);
-  obs::BenchReport rb(e->name);
-  ASSERT_EQ(e->finalize(ra, serial.merged, serial.info), 0);
-  ASSERT_EQ(e->finalize(rb, parallel.merged, parallel.info), 0);
-  EXPECT_EQ(ra.to_json().at("metrics").dump(),
-            rb.to_json().at("metrics").dump());
-  EXPECT_EQ(ra.to_json().at("registry").dump(),
-            rb.to_json().at("registry").dump());
+/// Runs a registered experiment's trial phase and finalize hook, without
+/// writing a report.
+Finalized run_finalized(const std::string& name, int threads,
+                        std::int64_t trials = -1) {
+  register_builtin_experiments();
+  const Experiment* e = find_experiment(name);
+  EXPECT_NE(e, nullptr) << name;
+  if (e == nullptr) return {};
+  RunOptions o = opts_with(threads);
+  o.trials = trials;
+  const RunOutput out = run_trials(*e, o);
+  obs::BenchReport report(e->name);
+  EXPECT_EQ(e->finalize(report, out.merged, out.info), 0) << name;
+  return {out.merged.to_json().dump(), report.to_json()};
+}
+
+obs::Json finalized_report(const std::string& name, int threads,
+                           std::int64_t trials = -1) {
+  return run_finalized(name, threads, trials).report;
+}
+
+TEST(BuiltinExperiments, Theorem42MetricsThreadCountIndependent) {
+  // theorem42_bound at a small trial count (real runs use the default 3000),
+  // plus the experiments ported from standalone benches at their fixed
+  // layouts. The merged accumulators must be byte-identical, and finalize on
+  // them must produce byte-identical metrics and registry sections: timings
+  // and engine provenance are the only allowed differences between thread
+  // counts, and they live in other sections.
+  for (const auto& [name, trials] :
+       std::vector<std::pair<std::string, std::int64_t>>{
+           {"theorem42_bound", 128},
+           {"atomic_baseline", -1},
+           {"figure1_adversary", -1},
+           {"k_tradeoff", -1},
+           {"vitanyi_il_blunting", -1},
+           {"consensus", -1}}) {
+    SCOPED_TRACE(name);
+    const Finalized serial = run_finalized(name, 1, trials);
+    const Finalized parallel = run_finalized(name, 4, trials);
+    ASSERT_EQ(serial.merged, parallel.merged);
+    EXPECT_EQ(serial.report.at("metrics").dump(),
+              parallel.report.at("metrics").dump());
+    EXPECT_EQ(serial.report.at("registry").dump(),
+              parallel.report.at("registry").dump());
+  }
+}
+
+TEST(BuiltinExperiments, AtomicBaselineReproducesOneHalf) {
+  // Appendix A.1: the exact solver and the exhaustive explorer both give
+  // Prob[bad] = 1/2 against the optimal strong adversary.
+  const obs::Json m = finalized_report("atomic_baseline", 2).at("metrics");
+  EXPECT_EQ(m.at("bad_probability_exact").as_string(), "1/2");
+  EXPECT_EQ(m.at("bad_probability_explorer").as_double(), 0.5);
+  EXPECT_TRUE(m.at("reproduces_paper").as_bool());
+  // Random scheduling is a weak adversary: its pooled bad-outcome rate stays
+  // well below the strong-adversary optimum 1/2.
+  EXPECT_EQ(m.at("bad_probability_mc_pooled_trials").as_int(), 4000);
+  EXPECT_LT(m.at("bad_probability_mc_pooled").as_double(), 0.5);
+  EXPECT_LT(m.at("bad_probability_mc_best_seed").as_double(), 0.5);
+}
+
+TEST(BuiltinExperiments, Figure1AdversaryWinsBothCoinBranches) {
+  // Appendix A.2: termination probability 0 over plain ABD; the branch pair
+  // refutes strong linearizability but is tail-strong w.r.t. Pi_ABD.
+  const obs::Json m = finalized_report("figure1_adversary", 1).at("metrics");
+  EXPECT_EQ(m.at("bad_probability").as_double(), 1.0);
+  EXPECT_EQ(m.at("adversary_wins").as_int(), 2);
+  EXPECT_TRUE(m.at("strong_linearizability_refuted").as_bool());
+  EXPECT_TRUE(m.at("tail_strong_holds").as_bool());
 }
 
 TEST(BuiltinExperiments, AllSixAreRegistered) {
   register_builtin_experiments();
-  for (const char* name :
-       {"theorem42_bound", "abd_k_sweep", "chaos_soak", "equivalence_soak",
-        "snapshot_blunting", "hotpath"}) {
-    EXPECT_NE(find_experiment(name), nullptr) << name;
-  }
+  const std::vector<std::string> want = {
+      "abd_k_sweep",       "atomic_baseline",  "chaos_soak",
+      "consensus",         "equivalence_soak", "figure1_adversary",
+      "fuzz_search",       "hotpath",          "k_tradeoff",
+      "n_sweep",           "scaling_probe",    "snapshot_blunting",
+      "theorem42_bound",   "vitanyi_il_blunting"};
+  std::vector<std::string> names;
+  for (const Experiment* e : list_experiments()) names.push_back(e->name);
+  EXPECT_EQ(names, want);
   EXPECT_EQ(find_experiment("nope"), nullptr);
+}
+
+/// Sets (or, given nullptr, unsets) an environment variable for one scope
+/// and puts the prior value back on every exit path.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* prior = std::getenv(name)) prior_ = prior;
+    if (value != nullptr) {
+      ::setenv(name, value, 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (prior_) {
+      ::setenv(name_.c_str(), prior_->c_str(), 1);
+    } else {
+      ::unsetenv(name_.c_str());
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  std::string name_;
+  std::optional<std::string> prior_;
+};
+
+TEST(BuiltinExperiments, FuzzSearchWritesOneReportAndOneLedgerRecord) {
+  // run_and_report owns the report write: a finalize hook that also wrote
+  // one would leave a second ledger record without engine provenance.
+  const std::string dir =
+      std::string(::testing::TempDir()) + "blunt_fuzz_ledger";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const ScopedEnv env_bench_dir("BLUNT_BENCH_DIR", dir.c_str());
+  const ScopedEnv env_ledger("BLUNT_LEDGER", nullptr);
+  const ScopedEnv env_ledger_path("BLUNT_LEDGER_PATH", nullptr);
+  const ScopedEnv env_corpus_path("BLUNT_FUZZ_CORPUS_PATH", nullptr);
+  register_builtin_experiments();
+  RunOptions o;
+  o.trials = 1;  // one abd_bug chain
+  ASSERT_EQ(run_and_report(*find_experiment("fuzz_search"), o), 0);
+
+  const obs::Ledger ledger = obs::load_ledger(dir + "/BENCH_HISTORY.jsonl");
+  ASSERT_EQ(ledger.entries.size(), 1u);
+  const obs::Json* threads =
+      ledger.entries[0].report.at("environment").find("engine_threads");
+  ASSERT_NE(threads, nullptr);
+  EXPECT_EQ(threads->as_int(), 1);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
-// Tests for the exhaustive replay explorer and Monte-Carlo adversary search.
+// Tests for the exhaustive replay explorer.
 #include "adversary/explorer.hpp"
 
 #include <gtest/gtest.h>
 
-#include "adversary/mc_search.hpp"
 #include "game/solver.hpp"
 #include "game/weakener_game.hpp"
 #include "mem/base_register.hpp"
@@ -134,29 +133,6 @@ TEST(Explorer, TruncationIsReported) {
   cfg.max_nodes = 3;
   const ExplorerResult r = explore(atomic_weakener_factory, cfg);
   EXPECT_TRUE(r.truncated);
-}
-
-TEST(McSearch, RandomSchedulersRarelyWeaken) {
-  // Random scheduling is a weak adversary: its pooled bad-outcome rate on
-  // the atomic weakener stays well below the strong-adversary optimum 1/2.
-  const McSearchResult res = search_random_adversaries(
-      [](std::uint64_t coin_seed) {
-        McInstance inst;
-        inst.world = std::make_unique<sim::World>(
-            sim::Config{}, std::make_unique<sim::SeededCoin>(coin_seed));
-        auto r = std::make_shared<objects::AtomicRegister>("R", *inst.world,
-                                                           sim::Value{});
-        auto c = std::make_shared<objects::AtomicRegister>(
-            "C", *inst.world, sim::Value(std::int64_t{-1}));
-        auto out = std::make_shared<programs::WeakenerOutcome>();
-        programs::install_weakener(*inst.world, *r, *c, *out);
-        inst.bad = [out] { return out->looped(); };
-        inst.owned = {r, c, out};
-        return inst;
-      },
-      /*scheduler_seeds=*/10, /*trials_per_seed=*/40);
-  EXPECT_EQ(res.pooled.trials(), 400);
-  EXPECT_LT(res.pooled.mean(), 0.5);
 }
 
 }  // namespace

@@ -50,7 +50,14 @@ TEST(Solver, MaxOverAdversaryAverageOverChance) {
 
 TEST(Solver, StrategyExtractionFollowsArgmax) {
   MiniGame g;
-  const auto strategy = extract_strategy(g);
+  SolveStats stats;
+  const Rational value = solve(g, &stats);
+  const Solution sol = solve_with_strategy(g);
+  // One memo serves the value, the state count and the line of play.
+  EXPECT_EQ(sol.value, value);
+  EXPECT_EQ(sol.stats.states_visited, stats.states_visited);
+  EXPECT_EQ(sol.stats.expansions, stats.expansions);
+  const auto& strategy = sol.strategy;
   ASSERT_FALSE(strategy.empty());
   EXPECT_EQ(strategy[0].label, "go-left");
   EXPECT_EQ(strategy[0].value, Rational(1, 2));
@@ -122,7 +129,7 @@ TEST(AbdPhase, Abd2ValueIsExactlyFiveEighths) {
 
 TEST(AbdPhase, StrategyExtractionReachesTheCoin) {
   AbdPhaseWeakenerGame g(1);
-  const auto strategy = extract_strategy(g, 400);
+  const auto strategy = solve_with_strategy(g, 400).strategy;
   bool flipped = false;
   for (const auto& e : strategy) {
     if (e.label.find("coin") != std::string::npos) flipped = true;

@@ -204,9 +204,9 @@ void usage(const char* argv0) {
 }
 
 /// One-line engine provenance for reports produced by the experiment engine
-/// (blunt_exp or the thin bench mains): thread count, shard structure, and
-/// resume accounting. Empty for pre-engine reports, so both renderers degrade
-/// gracefully on old ledger entries.
+/// (blunt_exp): thread count, shard structure, and resume accounting. Empty
+/// for pre-engine reports, so both renderers degrade gracefully on old
+/// ledger entries.
 [[nodiscard]] std::string engine_provenance(const Json& report) {
   const Json* threads =
       obs::resolve_metric_path(report, "environment.engine_threads");
