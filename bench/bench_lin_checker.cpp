@@ -153,6 +153,5 @@ int main(int argc, char** argv) {
                                                       /*sched_seed=*/0,
                                                       /*k=*/1)
                   .snapshot);
-  blunt::exp::write_report(report);
-  return 0;
+  return blunt::exp::write_report(report) ? 0 : 1;
 }

@@ -5,10 +5,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -47,11 +50,23 @@ ShardLayout resolve_layout(const Experiment& e, const RunOptions& opts) {
   return l;
 }
 
+/// The error a trial body's exception becomes: it names where it happened.
+[[nodiscard]] std::runtime_error trial_failure(const Experiment& e,
+                                               std::int64_t trial,
+                                               std::int64_t shard,
+                                               const char* what) {
+  return std::runtime_error(e.name + ": trial " + std::to_string(trial) +
+                            " (shard " + std::to_string(shard) +
+                            ") threw: " + what);
+}
+
 /// One shard, run on whichever worker claimed it. The result depends only on
 /// (experiment, layout, shard index, coverage/profile flags). `trials_done`
 /// is telemetry-only (nullptr when no --progress): the increment is outside
 /// every per-trial computation, so progress reporting cannot perturb trial
-/// results.
+/// results. An exception from a trial body is rethrown as a
+/// std::runtime_error naming the experiment, the trial and the shard; the
+/// one try block spans the whole shard, so the trial loop is unchanged.
 [[nodiscard]] Accumulator run_shard(const Experiment& e, const ShardLayout& l,
                                     std::int64_t shard, bool coverage,
                                     bool profile,
@@ -59,18 +74,25 @@ ShardLayout resolve_layout(const Experiment& e, const RunOptions& opts) {
   Accumulator acc;
   const std::int64_t begin = shard * l.shard_size;
   const std::int64_t end = std::min(l.trials, begin + l.shard_size);
-  for (std::int64_t i = begin; i < end; ++i) {
-    TrialContext ctx;
-    ctx.trial_index = i;
-    ctx.experiment_seed = l.seed;
-    ctx.trials = l.trials;
-    ctx.seed = derive_seed(e.seed_derivation, l.seed, i);
-    ctx.coverage = coverage;
-    ctx.profile = profile;
-    e.trial(ctx, acc);
-    if (trials_done != nullptr) {
-      trials_done->fetch_add(1, std::memory_order_relaxed);
+  std::int64_t i = begin;
+  try {
+    for (; i < end; ++i) {
+      TrialContext ctx;
+      ctx.trial_index = i;
+      ctx.experiment_seed = l.seed;
+      ctx.trials = l.trials;
+      ctx.seed = derive_seed(e.seed_derivation, l.seed, i);
+      ctx.coverage = coverage;
+      ctx.profile = profile;
+      e.trial(ctx, acc);
+      if (trials_done != nullptr) {
+        trials_done->fetch_add(1, std::memory_order_relaxed);
+      }
     }
+  } catch (const std::exception& ex) {
+    throw trial_failure(e, i, shard, ex.what());
+  } catch (...) {
+    throw trial_failure(e, i, shard, "a non-standard exception");
   }
   return acc;
 }
@@ -227,6 +249,9 @@ struct PassResult {
   int shards_executed = 0;
   bool complete = true;
   double wall_ms = 0.0;
+  /// The first shard failure (run_shard's named error); once set, workers
+  /// claim no further shards.
+  std::exception_ptr error;
 };
 
 /// Worker count for a pass — capped by the shard count so steal telemetry
@@ -256,12 +281,15 @@ struct PassResult {
   std::atomic<std::int64_t> next_shard{0};
   std::atomic<int> executed{0};
   std::atomic<bool> stopped{false};
+  std::atomic<bool> failed{false};
+  std::mutex error_mu;
 
   std::atomic<std::int64_t>* trials_done =
       progress != nullptr ? &progress->trials_done : nullptr;
 
   const auto worker = [&](int wi) {
     for (;;) {
+      if (failed.load()) return;
       const std::int64_t s = next_shard.fetch_add(1);
       if (s >= l.num_shards) return;
       if (resumed.count(s) != 0) continue;
@@ -281,7 +309,15 @@ struct PassResult {
       if (progress != nullptr) {
         progress->shards_claimed.fetch_add(1, std::memory_order_relaxed);
       }
-      Accumulator acc = run_shard(e, l, s, coverage, profile, trials_done);
+      Accumulator acc;
+      try {
+        acc = run_shard(e, l, s, coverage, profile, trials_done);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mu);
+        if (!pass.error) pass.error = std::current_exception();
+        failed.store(true);
+        return;
+      }
       if (!checkpoint_path.empty()) {
         append_or_die(checkpoint_path, shard_checkpoint_line(e, l, s, acc));
       }
@@ -306,7 +342,7 @@ struct PassResult {
   }
 
   pass.shards_executed = executed.load();
-  pass.complete = !stopped.load();
+  pass.complete = !stopped.load() && !failed.load();
   pass.wall_ms = std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - t0)
                      .count();
@@ -413,6 +449,9 @@ RunOutput run_trials(const Experiment& e, const RunOptions& opts) {
     sampler->finish(main_pass.complete);
     sampler.reset();
   }
+  // The checkpoint keeps every shard that finished; the failure surfaces
+  // only now, after the pool has joined and the heartbeat file is closed.
+  if (main_pass.error) std::rethrow_exception(main_pass.error);
 
   RunOutput out;
   out.info.trials = l.trials;
@@ -442,6 +481,7 @@ RunOutput run_trials(const Experiment& e, const RunOptions& opts) {
     for (const int t : opts.timing_sweep) {
       PassResult sweep = run_pass(e, l, t, {}, "", 0, opts.coverage,
                                   opts.profile, nullptr);
+      if (sweep.error) std::rethrow_exception(sweep.error);
       out.info.sweep_wall_ms.emplace_back(std::max(1, t), sweep.wall_ms);
       // Built-in determinism self-check: every thread count must produce
       // the same merged bits.

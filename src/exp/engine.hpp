@@ -86,7 +86,10 @@ struct RunOutput {
 };
 
 /// Runs the trial phase (no finalize, no report). See the file comment for
-/// the determinism contract.
+/// the determinism contract. A trial body that throws stops the pass: no
+/// worker claims another shard, shards already finished stay in the
+/// checkpoint, and once the pool has joined run_trials throws a
+/// std::runtime_error naming the experiment, the trial and its shard.
 [[nodiscard]] RunOutput run_trials(const Experiment& e, const RunOptions& opts);
 
 }  // namespace blunt::exp

@@ -18,15 +18,26 @@
 // the soak; the planted bug must not — this validates that the harness can
 // actually catch (and explain) quorum bugs.
 //
+// The soak also carries Theorem 4.1's no-fault family: every object of the
+// catalogue (ABD multi- and single-writer, Afek et al. snapshot,
+// Vitanyi-Awerbuch, Israeli-Li) x k in {1, 2, 3} x 150 seeds, run under a
+// uniform scheduler with an empty fault plan, every history Wing-Gong
+// checked against the object's sequential specification. O^k is equivalent
+// to O, so every cell must come back 150/150 linearizable. Objects that a
+// fault group already soaks reuse that group's world builder and trial
+// body; only the plan is empty.
+//
 // --trials sets the per-configuration ABD trial count; shared-memory
 // objects run min(that, 150) trials each.
 //
 // Engine port: the trial space concatenates the four soak groups —
 // [0, a) ABD k=1, [a, 2a) ABD k=2, then Vitanyi and Israeli-Li crash-only
 // blocks of min(a, 150) each — with the decoded in-group index as the seed,
-// reproducing the pre-port per-trial worlds exactly. All totals are integer
-// counters (permutation-invariant). The shrink demo is inherently
-// sequential (stop at the first violation, then ddmin) and runs in finalize.
+// reproducing the pre-port per-trial worlds exactly. The fixed 2250-trial
+// no-fault family follows them, so it leaves every fault trial's index and
+// seed where it was. All totals are integer counters and tallies
+// (permutation-invariant). The shrink demo is inherently sequential (stop
+// at the first violation, then ddmin) and runs in finalize.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -41,6 +52,7 @@
 #include "lin/check.hpp"
 #include "lin/history.hpp"
 #include "objects/israeli_li.hpp"
+#include "objects/snapshot.hpp"
 #include "objects/vitanyi.hpp"
 #include "sim/adversaries.hpp"
 
@@ -49,6 +61,13 @@ namespace {
 
 constexpr int kMaxRetransmits = 12;  // > any per-channel loss budget
 constexpr int kSharedMemCap = 150;
+
+// The no-fault (Theorem 4.1) family: kObjects x k in {1..kMaxK} x kRunsPerCell.
+constexpr int kRunsPerCell = 150;
+constexpr int kMaxK = 3;
+constexpr int kNumObjects = 5;
+constexpr std::int64_t kNoFaultTrials =
+    std::int64_t{kNumObjects} * kMaxK * kRunsPerCell;
 
 // Per-group totals live in named accumulator counters, keyed
 // "<group>.<field>" with group in {abd1, abd2, vit, il}; add_totals and
@@ -99,15 +118,16 @@ struct AbdChaosWorld {
 };
 
 /// A 3-process read/write workload over one ABD^k register, with the plan's
-/// faults interposed. The same constructor serves the soak (fresh world per
-/// trial) and the shrinker's replay predicate (identical world, different
-/// adversary) — determinism of the pair (coin seed, plan) is what makes the
-/// recorded schedules replayable.
+/// faults interposed: each process writes then reads, `rounds` times. The
+/// same constructor serves the soak (fresh world per trial) and the
+/// shrinker's replay predicate (identical world, different adversary) —
+/// determinism of the pair (coin seed, plan) is what makes the recorded
+/// schedules replayable.
 AbdChaosWorld make_abd_chaos(std::uint64_t coin_seed,
                              const fault::FaultPlan& plan, int k,
                              objects::AbdBug bug, bool metrics,
                              sim::TraceDetail detail = sim::TraceDetail::kFull,
-                             bool profile = false) {
+                             bool profile = false, int rounds = 1) {
   AbdChaosWorld cw;
   cw.world = std::make_unique<sim::World>(
       sim::Config{.max_crashes = static_cast<int>(plan.crashes.size()),
@@ -126,12 +146,14 @@ AbdChaosWorld make_abd_chaos(std::uint64_t coin_seed,
   objects::AbdRegister& reg = *cw.reg;
   if (bug == objects::AbdBug::kNone) {
     for (Pid pid = 0; pid < plan.num_processes; ++pid) {
-      cw.world->add_process("p" + std::to_string(pid),
-                            [&reg, pid](sim::Proc p) -> sim::Task<void> {
-                              co_await reg.write(
-                                  p, sim::Value(std::int64_t{pid + 1}));
-                              (void)co_await reg.read(p);
-                            });
+      cw.world->add_process(
+          "p" + std::to_string(pid),
+          [&reg, pid, rounds](sim::Proc p) -> sim::Task<void> {
+            for (int i = 0; i < rounds; ++i) {
+              co_await reg.write(p, sim::Value(std::int64_t{pid + 1 + 10 * i}));
+              (void)co_await reg.read(p);
+            }
+          });
     }
   } else {
     // Bug-hunting shape: one writer + double-readers, so a sub-majority
@@ -151,8 +173,8 @@ AbdChaosWorld make_abd_chaos(std::uint64_t coin_seed,
   return cw;
 }
 
-bool lin_ok(const sim::World& w) {
-  lin::RegisterSpec spec;
+bool lin_ok(const sim::World& w,
+            const lin::SequentialSpec& spec = lin::RegisterSpec()) {
   return lin::check_linearizable(lin::History::from_world(w), spec)
       .linearizable;
 }
@@ -162,6 +184,22 @@ bool lin_ok(const sim::World& w) {
 // adversary in the choice-transparent obs::ScheduleFingerprinter and records
 // fingerprints on the side — the run itself is identical either way. The
 // ABD body's optional `prof` receives its worlds' profiles the same way.
+
+/// Runs `w` under a uniform scheduler seeded `sched_seed` that also executes
+/// the plan's crashes (`injector`: the world's fault layer, null for
+/// shared-memory objects), fingerprinting the run when `cov` is non-null.
+sim::RunResult run_chaos(sim::World& w, std::uint64_t sched_seed,
+                         const fault::FaultPlan& plan,
+                         fault::FaultInjector* injector, Accumulator* cov) {
+  sim::UniformAdversary uniform(sched_seed);
+  fault::ChaosAdversary adv(uniform, plan, injector);
+  if (cov == nullptr) return w.run(adv);
+  obs::ScheduleFingerprinter fp(adv);
+  const sim::RunResult res = w.run(fp);
+  record_coverage(*cov, fp, w);
+  return res;
+}
+
 /// Every plan that reaches an execution passes full structural validation
 /// (FaultPlan::validate) — the generator is quorum-preserving by
 /// construction, and this hard check keeps it honest as knobs evolve. The
@@ -173,43 +211,42 @@ fault::FaultPlan validated(fault::FaultPlan plan) {
   return plan;
 }
 
-void abd_trial(std::uint64_t seed, int k, ChaosTotals& t, Accumulator* cov,
+/// Counts one finished run into `t`: completed, and linearizable under
+/// `spec`. Returns whether it was both.
+bool tally_run(const sim::World& w, const sim::RunResult& res, ChaosTotals& t,
+               const lin::SequentialSpec& spec = lin::RegisterSpec()) {
+  ++t.runs;
+  if (res.status != sim::RunStatus::kCompleted) return false;
+  ++t.completed;
+  if (!lin_ok(w, spec)) return false;
+  ++t.linearizable;
+  return true;
+}
+
+void abd_trial(std::uint64_t seed, int k, const fault::FaultPlan& plan,
+               int rounds, ChaosTotals& t, Accumulator* cov,
                Accumulator* prof) {
-  const fault::FaultPlan plan = validated(fault::random_plan(
-      fault::mix64(seed * 2 + static_cast<std::uint64_t>(k)), {}));
   // The soak never reads the trace (lin_ok works off the invocation
   // table), so trials run at kNone; the shrink demo below replays against
   // event whats and keeps the default kFull.
   AbdChaosWorld cw = make_abd_chaos(seed, plan, k, objects::AbdBug::kNone,
                                     /*metrics=*/false, sim::TraceDetail::kNone,
-                                    /*profile=*/prof != nullptr);
-  sim::UniformAdversary uniform(fault::mix64(seed) * 7 + 3);
-  fault::ChaosAdversary adv(uniform, cw.injector->plan(), cw.injector.get());
-  sim::RunResult res;
-  if (cov != nullptr) {
-    obs::ScheduleFingerprinter fp(adv);
-    res = cw.world->run(fp);
-    record_coverage(*cov, fp, *cw.world);
-  } else {
-    res = cw.world->run(adv);
-  }
+                                    /*profile=*/prof != nullptr, rounds);
+  const sim::RunResult res =
+      run_chaos(*cw.world, fault::mix64(seed) * 7 + 3, cw.injector->plan(),
+                cw.injector.get(), cov);
   if (prof != nullptr) record_profile(*prof, "abd", *cw.world);
-  ++t.runs;
   t.losses += cw.injector->losses_injected();
   t.duplicates += cw.injector->duplicates_injected();
   t.partitions_opened += cw.injector->partitions_opened();
   t.partitions_healed += cw.injector->partitions_healed();
   t.crashes += cw.injector->crashes_injected();
   t.retransmissions += cw.reg->retransmissions();
+  if (tally_run(*cw.world, res, t)) return;
   if (res.status != sim::RunStatus::kCompleted) {
     std::fprintf(stderr, "NON-TERMINATING run: seed=%llu k=%d plan=%s\n%s\n",
                  static_cast<unsigned long long>(seed), k,
                  plan.to_string().c_str(), res.deadlock_detail.c_str());
-    return;
-  }
-  ++t.completed;
-  if (lin_ok(*cw.world)) {
-    ++t.linearizable;
   } else {
     std::fprintf(stderr, "LIN VIOLATION: seed=%llu k=%d plan=%s\n",
                  static_cast<unsigned long long>(seed), k,
@@ -228,9 +265,8 @@ fault::FaultPlan crash_only_plan(std::uint64_t seed, int num_processes) {
   return validated(fault::random_plan(seed, opts));
 }
 
-void vitanyi_trial(std::uint64_t seed, int k, ChaosTotals& t,
-                   Accumulator* cov) {
-  const fault::FaultPlan plan = crash_only_plan(fault::mix64(seed * 2 + 1), 3);
+void vitanyi_trial(std::uint64_t seed, int k, const fault::FaultPlan& plan,
+                   ChaosTotals& t, Accumulator* cov) {
   auto w = std::make_unique<sim::World>(
       sim::Config{.max_crashes = static_cast<int>(plan.crashes.size()),
                   .trace_detail = sim::TraceDetail::kNone},
@@ -242,28 +278,17 @@ void vitanyi_trial(std::uint64_t seed, int k, ChaosTotals& t,
                    [&reg, pid](sim::Proc p) -> sim::Task<void> {
                      co_await reg.write(p, sim::Value(std::int64_t{pid}));
                      (void)co_await reg.read(p);
+                     (void)co_await reg.read(p);
                    });
   }
-  sim::UniformAdversary uniform(fault::mix64(seed) * 17 + 7);
-  fault::ChaosAdversary adv(uniform, plan);
-  sim::RunResult res;
-  if (cov != nullptr) {
-    obs::ScheduleFingerprinter fp(adv);
-    res = w->run(fp);
-    record_coverage(*cov, fp, *w);
-  } else {
-    res = w->run(adv);
-  }
-  ++t.runs;
+  const sim::RunResult res =
+      run_chaos(*w, fault::mix64(seed) * 17 + 7, plan, nullptr, cov);
   t.crashes += static_cast<long>(plan.crashes.size());
-  if (res.status != sim::RunStatus::kCompleted) return;
-  ++t.completed;
-  if (lin_ok(*w)) ++t.linearizable;
+  (void)tally_run(*w, res, t);
 }
 
-void israeli_li_trial(std::uint64_t seed, int k, ChaosTotals& t,
-                      Accumulator* cov) {
-  const fault::FaultPlan plan = crash_only_plan(fault::mix64(seed * 2 + 5), 3);
+void israeli_li_trial(std::uint64_t seed, int k, const fault::FaultPlan& plan,
+                      ChaosTotals& t, Accumulator* cov) {
   auto w = std::make_unique<sim::World>(
       sim::Config{.max_crashes = static_cast<int>(plan.crashes.size()),
                   .trace_detail = sim::TraceDetail::kNone},
@@ -281,21 +306,104 @@ void israeli_li_trial(std::uint64_t seed, int k, ChaosTotals& t,
     co_await reg.write(p, sim::Value(std::int64_t{1}));
     co_await reg.write(p, sim::Value(std::int64_t{2}));
   });
-  sim::UniformAdversary uniform(fault::mix64(seed) * 19 + 9);
-  fault::ChaosAdversary adv(uniform, plan);
-  sim::RunResult res;
-  if (cov != nullptr) {
-    obs::ScheduleFingerprinter fp(adv);
-    res = w->run(fp);
-    record_coverage(*cov, fp, *w);
-  } else {
-    res = w->run(adv);
-  }
-  ++t.runs;
+  const sim::RunResult res =
+      run_chaos(*w, fault::mix64(seed) * 19 + 9, plan, nullptr, cov);
   t.crashes += static_cast<long>(plan.crashes.size());
-  if (res.status != sim::RunStatus::kCompleted) return;
-  ++t.completed;
-  if (lin_ok(*w)) ++t.linearizable;
+  (void)tally_run(*w, res, t);
+}
+
+// -- The no-fault (Theorem 4.1) family ---------------------------------------
+//
+// The two objects no fault group soaks: ABD single-writer (one writer, two
+// double-readers) and the Afek et al. snapshot (two double-updaters, one
+// double-scanner), each run under a plain uniform scheduler.
+
+void abd_sw_trial(std::uint64_t seed, int k, ChaosTotals& t,
+                  Accumulator* cov) {
+  auto w = std::make_unique<sim::World>(
+      sim::Config{.trace_detail = sim::TraceDetail::kNone},
+      std::make_unique<sim::SeededCoin>(seed));
+  objects::AbdRegister reg("R", *w,
+                           {.num_processes = 3,
+                            .preamble_iterations = k,
+                            .variant = objects::AbdVariant::kSingleWriter,
+                            .single_writer = 0});
+  w->add_process("w", [&reg](sim::Proc p) -> sim::Task<void> {
+    co_await reg.write(p, sim::Value(std::int64_t{1}));
+    co_await reg.write(p, sim::Value(std::int64_t{2}));
+  });
+  for (Pid pid = 1; pid < 3; ++pid) {
+    w->add_process("r" + std::to_string(pid),
+                   [&reg](sim::Proc p) -> sim::Task<void> {
+                     (void)co_await reg.read(p);
+                     (void)co_await reg.read(p);
+                   });
+  }
+  const sim::RunResult res =
+      run_chaos(*w, fault::mix64(seed) * 11 + 1, {}, nullptr, cov);
+  (void)tally_run(*w, res, t);
+}
+
+void snapshot_trial(std::uint64_t seed, int k, ChaosTotals& t,
+                    Accumulator* cov) {
+  auto w = std::make_unique<sim::World>(
+      sim::Config{.trace_detail = sim::TraceDetail::kNone},
+      std::make_unique<sim::SeededCoin>(seed));
+  objects::AfekSnapshot snap("S", *w,
+                             {.num_processes = 3, .preamble_iterations = k});
+  for (Pid pid = 0; pid < 2; ++pid) {
+    w->add_process("u" + std::to_string(pid),
+                   [&snap, pid](sim::Proc p) -> sim::Task<void> {
+                     co_await snap.update(p, pid * 10 + 1);
+                     co_await snap.update(p, pid * 10 + 2);
+                   });
+  }
+  w->add_process("s", [&snap](sim::Proc p) -> sim::Task<void> {
+    (void)co_await snap.scan(p);
+    (void)co_await snap.scan(p);
+  });
+  const sim::RunResult res =
+      run_chaos(*w, fault::mix64(seed) * 13 + 5, {}, nullptr, cov);
+  (void)tally_run(*w, res, t, lin::SnapshotSpec(3));
+}
+
+struct NoFaultObject {
+  const char* key;   // metric key: theorem41.<key>_k<k>.linearizable
+  const char* name;  // table and `soak` row label
+};
+
+constexpr NoFaultObject kNoFaultObjects[kNumObjects] = {
+    {"abd_mw", "ABD multi-writer [20]"},
+    {"abd_sw", "ABD single-writer [3]"},
+    {"snapshot", "Afek et al. snapshot [1]"},
+    {"vitanyi", "Vitanyi-Awerbuch MWMR [22]"},
+    {"israeli_li", "Israeli-Li multi-reader [19]"},
+};
+
+[[nodiscard]] std::string cell_key(int obj, int k) {
+  return std::string("theorem41.") + kNoFaultObjects[obj].key + "_k" +
+         std::to_string(k);
+}
+
+/// No-fault trial j of kNoFaultTrials: object j / 450, k = (j % 450) / 150
+/// + 1, seed j % 150. The ABD multi-writer, Vitanyi and Israeli-Li cells
+/// run their fault group's trial body with an empty plan; ABD runs two
+/// write/read rounds per process, as many operations as the others.
+void no_fault_trial(std::int64_t j, Accumulator& acc, Accumulator* cov) {
+  constexpr std::int64_t kPerObject = std::int64_t{kMaxK} * kRunsPerCell;
+  const int obj = static_cast<int>(j / kPerObject);
+  const int k = static_cast<int>((j % kPerObject) / kRunsPerCell) + 1;
+  const auto seed = static_cast<std::uint64_t>(j % kRunsPerCell);
+  const fault::FaultPlan none{.num_processes = 3};
+  ChaosTotals t;
+  switch (obj) {
+    case 0: abd_trial(seed, k, none, /*rounds=*/2, t, cov, nullptr); break;
+    case 1: abd_sw_trial(seed, k, t, cov); break;
+    case 2: snapshot_trial(seed, k, t, cov); break;
+    case 3: vitanyi_trial(seed, k, none, t, cov); break;
+    default: israeli_li_trial(seed, k, none, t, cov); break;
+  }
+  acc.tally(cell_key(obj, k) + ".linearizable").add(t.linearizable == 1);
 }
 
 // -- Trial-space layout ------------------------------------------------------
@@ -305,9 +413,11 @@ struct ChaosLayout {
   std::int64_t shared_mem_trials = 0;  // per shared-memory object
 };
 
-/// total = 2*a + 2*min(a, 150) inverts uniquely: a = total/4 while a <= 150
-/// (total <= 600), else a = (total - 300)/2.
+/// The fault groups' total f = 2*a + 2*min(a, 150) (the no-fault family's
+/// fixed block follows them) inverts uniquely: a = f/4 while a <= 150
+/// (f <= 600), else a = (f - 300)/2.
 ChaosLayout layout_from_total(std::int64_t total) {
+  total -= kNoFaultTrials;
   ChaosLayout l;
   l.abd_trials = total <= 4 * kSharedMemCap ? total / 4
                                             : (total - 2 * kSharedMemCap) / 2;
@@ -318,28 +428,39 @@ ChaosLayout layout_from_total(std::int64_t total) {
 std::int64_t resolve_trials(std::int64_t requested) {
   // The default 550 exceeds the 1000-plan acceptance bar.
   const std::int64_t a = requested > 0 ? requested : 550;
-  return 2 * a + 2 * std::min<std::int64_t>(a, kSharedMemCap);
+  return 2 * a + 2 * std::min<std::int64_t>(a, kSharedMemCap) +
+         kNoFaultTrials;
 }
 
 void trial(const TrialContext& ctx, Accumulator& acc) {
   const ChaosLayout l = layout_from_total(ctx.trials);
   const std::int64_t i = ctx.trial_index;
+  const std::int64_t vit_begin = 2 * l.abd_trials;
+  const std::int64_t il_begin = vit_begin + l.shared_mem_trials;
+  const std::int64_t no_fault_begin = il_begin + l.shared_mem_trials;
   Accumulator* cov = ctx.coverage ? &acc : nullptr;
   Accumulator* prof = ctx.profile ? &acc : nullptr;
+  if (i >= no_fault_begin) {
+    no_fault_trial(i - no_fault_begin, acc, cov);
+    return;
+  }
   ChaosTotals t;
-  if (i < l.abd_trials) {
-    abd_trial(static_cast<std::uint64_t>(i), 1, t, cov, prof);
-    add_totals(acc, "abd1", t);
-  } else if (i < 2 * l.abd_trials) {
-    abd_trial(static_cast<std::uint64_t>(i - l.abd_trials), 2, t, cov, prof);
-    add_totals(acc, "abd2", t);
-  } else if (i < 2 * l.abd_trials + l.shared_mem_trials) {
-    vitanyi_trial(static_cast<std::uint64_t>(i - 2 * l.abd_trials), 2, t, cov);
+  if (i < vit_begin) {
+    const int k = i < l.abd_trials ? 1 : 2;
+    const auto seed = static_cast<std::uint64_t>(i % l.abd_trials);
+    const fault::FaultPlan plan = validated(fault::random_plan(
+        fault::mix64(seed * 2 + static_cast<std::uint64_t>(k)), {}));
+    abd_trial(seed, k, plan, /*rounds=*/1, t, cov, prof);
+    add_totals(acc, k == 1 ? "abd1" : "abd2", t);
+  } else if (i < il_begin) {
+    const auto seed = static_cast<std::uint64_t>(i - vit_begin);
+    vitanyi_trial(seed, 2, crash_only_plan(fault::mix64(seed * 2 + 1), 3), t,
+                  cov);
     add_totals(acc, "vit", t);
   } else {
-    israeli_li_trial(
-        static_cast<std::uint64_t>(i - 2 * l.abd_trials - l.shared_mem_trials),
-        2, t, cov);
+    const auto seed = static_cast<std::uint64_t>(i - il_begin);
+    israeli_li_trial(seed, 2, crash_only_plan(fault::mix64(seed * 2 + 5), 3),
+                     t, cov);
     add_totals(acc, "il", t);
   }
 }
@@ -462,11 +583,51 @@ int finalize_impl(obs::BenchReport& report, const Accumulator& acc,
 
   const bool harness_catches_bug =
       demo.violation_found && demo.shrunk_still_fails;
+
+  print_header(
+      "Theorem 4.1: no-fault soak — every O^k history linearizable");
+  print_rule();
+  std::printf("%-30s %8s %12s %12s %12s\n", "object", "runs/k", "k=1 ok",
+              "k=2 ok", "k=3 ok");
+  print_rule();
+  bool theorem41_holds = true;
+  std::int64_t t41_runs = 0;
+  std::int64_t t41_linearizable = 0;
+  obs::JsonArray soak_rows;
+  for (int obj = 0; obj < kNumObjects; ++obj) {
+    std::int64_t ok[kMaxK + 1] = {};
+    for (int k = 1; k <= kMaxK; ++k) {
+      const std::string key = cell_key(obj, k) + ".linearizable";
+      const BernoulliEstimator& cell = acc.tally(key);
+      ok[k] = cell.successes();
+      t41_runs += cell.trials();
+      t41_linearizable += cell.successes();
+      theorem41_holds = theorem41_holds && cell.successes() == kRunsPerCell &&
+                        cell.trials() == kRunsPerCell;
+      report.set_metric_int(key, ok[k]);
+    }
+    std::printf("%-30s %8d %12lld %12lld %12lld\n", kNoFaultObjects[obj].name,
+                kRunsPerCell, static_cast<long long>(ok[1]),
+                static_cast<long long>(ok[2]), static_cast<long long>(ok[3]));
+    obs::JsonObject jrow;
+    jrow["object"] = obs::Json(std::string(kNoFaultObjects[obj].name));
+    jrow["runs_per_k"] = obs::Json(kRunsPerCell);
+    jrow["k1_linearizable"] = obs::Json(ok[1]);
+    jrow["k2_linearizable"] = obs::Json(ok[2]);
+    jrow["k3_linearizable"] = obs::Json(ok[3]);
+    soak_rows.emplace_back(std::move(jrow));
+  }
+  print_rule();
+  std::printf("Theorem 4.1: %s\n",
+              theorem41_holds ? "0 violations on every no-fault soak"
+                              : "VIOLATIONS FOUND (!)");
+
+  const bool ok = all_terminated && all_linearizable && harness_catches_bug &&
+                  theorem41_holds;
   std::printf("\nverdict: %s\n",
-              all_terminated && all_linearizable && harness_catches_bug
-                  ? "all runs terminated and linearizable; planted bug "
-                    "caught and shrunk"
-                  : "FAILURES (!)");
+              ok ? "all runs terminated and linearizable; planted bug "
+                   "caught and shrunk"
+                 : "FAILURES (!)");
 
   report.set_metric_int("total_plans", total_plans);
   report.set_metric_int("completed", total_completed);
@@ -499,6 +660,16 @@ int finalize_impl(obs::BenchReport& report, const Accumulator& acc,
                              l.shared_mem_trials);
   report.set_environment_int("max_retransmits", kMaxRetransmits);
 
+  // Theorem 4.1 (the no-fault family): a bad outcome is a linearizability
+  // violation, and the theorem says there are none.
+  set_bernoulli_metric(report, "theorem41.bad_probability",
+                       t41_runs - t41_linearizable, t41_runs);
+  report.set_metric_int("theorem41.runs", t41_runs);
+  report.set_metric_int("theorem41.violations", t41_runs - t41_linearizable);
+  report.set_metric_bool("theorem41_holds", theorem41_holds);
+  report.set_metric_json("soak", obs::Json(std::move(soak_rows)));
+  report.set_environment_int("theorem41_runs_per_cell", kRunsPerCell);
+
   // Instrumented probe: one metrics-on chaos run so the report's registry
   // section carries the fault.* counters next to the net.*/sim.* ones.
   {
@@ -516,7 +687,7 @@ int finalize_impl(obs::BenchReport& report, const Accumulator& acc,
 
   report_coverage(report, acc, info);
   report_profile(report, acc, info);
-  return all_terminated && all_linearizable && harness_catches_bug ? 0 : 1;
+  return ok ? 0 : 1;
 }
 
 }  // namespace
@@ -526,7 +697,8 @@ Experiment make_chaos_soak_experiment() {
   e.name = "chaos_soak";
   e.description =
       "randomized fault plans x objects, all runs lin-checked + planted-bug "
-      "shrink demo (--trials = ABD trials per k)";
+      "shrink demo (--trials = ABD trials per k), plus the Theorem 4.1 "
+      "no-fault soak: 5 objects x k in {1,2,3} x 150 seeds";
   e.default_trials = resolve_trials(-1);
   e.default_seed = 0;
   e.seed_derivation = SeedDerivation::kLinear;

@@ -8,7 +8,10 @@
 //     a uniformly random scheduler at TraceDetail::kNone, the configuration
 //     every Monte-Carlo trial body runs in. The exact total step count of
 //     the timed loop is a bit-identity invariant and is reported as an
-//     exact (regression-gated) metric.
+//     exact (regression-gated) metric. The same loop at replication widths
+//     n = 256 and n = 1000 (ABD^2, replica-only hosts for pids 3..n-1) gives
+//     the large-n legs, whose n = 256 rate CI compares against the frozen
+//     pre-overhaul kernel in BENCH_scaling_probe_pre_overhaul.json.
 //   * lin-checks/sec — the Wing–Gong checker over a fixed set of ABD
 //     histories (3 processes x {2,3} ops/process x 4 coin seeds), the shape
 //     the chaos soak feeds it. Every check must come back linearizable.
@@ -46,6 +49,10 @@ namespace {
 constexpr int kStepRunsK1 = 3000;
 constexpr int kStepRunsK2 = 1500;
 constexpr int kLinIterations = 400;
+// Large-n legs: ABD^2 at widths 256 and 1000.
+constexpr int kWideK = 2;
+constexpr int kWideRunsN256 = 4;
+constexpr int kWideRunsN1000 = 2;
 
 double now_ms() {
   using namespace std::chrono;
@@ -54,13 +61,14 @@ double now_ms() {
 }
 
 /// One weakener run at the Monte-Carlo trial configuration (kNone, no
-/// metrics). Seeds mirror the timed loop: run i uses coin 2i+1, sched 2i+2.
-/// `inst_out` (optional) hands the finished instance back so callers can
-/// read its profiler.
-sim::RunResult weakener_run(int i, int k, bool profile = false,
+/// metrics) over ABD^k registers of replication width `width`. Seeds mirror
+/// the timed loop: run i uses coin 2i+1, sched 2i+2. `inst_out` (optional)
+/// hands the finished instance back so callers can read its profiler.
+sim::RunResult weakener_run(int i, int k, int width = kWeakenerNumProcesses,
+                            bool profile = false,
                             adversary::McInstance* inst_out = nullptr) {
   adversary::McInstance inst = make_abd_weakener(
-      static_cast<std::uint64_t>(i) * 2 + 1, k, kWeakenerNumProcesses,
+      static_cast<std::uint64_t>(i) * 2 + 1, k, width,
       /*metrics=*/false, sim::TraceDetail::kNone, profile);
   sim::UniformAdversary adv(static_cast<std::uint64_t>(i) * 2 + 2);
   const sim::RunResult res = inst.world->run(adv);
@@ -73,10 +81,10 @@ struct StepsTiming {
   double wall_ms = 0.0;
 };
 
-StepsTiming time_steps(int k, int runs) {
+StepsTiming time_steps(int k, int runs, int width = kWeakenerNumProcesses) {
   {  // warmup, outside the clock
     adversary::McInstance inst =
-        make_abd_weakener(999, k, kWeakenerNumProcesses,
+        make_abd_weakener(999, k, width,
                           /*metrics=*/false, sim::TraceDetail::kNone);
     sim::UniformAdversary adv(999);
     (void)inst.world->run(adv);
@@ -84,7 +92,7 @@ StepsTiming time_steps(int k, int runs) {
   StepsTiming t;
   const double t0 = now_ms();
   for (int i = 0; i < runs; ++i) {
-    const sim::RunResult res = weakener_run(i, k);
+    const sim::RunResult res = weakener_run(i, k, width);
     BLUNT_ASSERT(res.status == sim::RunStatus::kCompleted,
                  "hotpath weakener run did not complete");
     t.steps += res.steps;
@@ -209,7 +217,8 @@ ProfStepsTiming time_steps_profile(int k, int runs) {
   const double t0 = now_ms();
   for (int i = 0; i < runs; ++i) {
     adversary::McInstance inst;
-    const sim::RunResult res = weakener_run(i, k, /*profile=*/true, &inst);
+    const sim::RunResult res = weakener_run(i, k, kWeakenerNumProcesses,
+                                            /*profile=*/true, &inst);
     BLUNT_ASSERT(res.status == sim::RunStatus::kCompleted,
                  "hotpath profiled weakener run did not complete");
     t.steps += res.steps;
@@ -281,7 +290,8 @@ void trial(const TrialContext& ctx, Accumulator& acc) {
   const int k = ctx.trial_index < half ? 1 : 2;
   const int i = static_cast<int>(ctx.trial_index % half);
   adversary::McInstance inst;
-  const sim::RunResult res = weakener_run(i, k, ctx.profile, &inst);
+  const sim::RunResult res =
+      weakener_run(i, k, kWeakenerNumProcesses, ctx.profile, &inst);
   BLUNT_ASSERT(res.status == sim::RunStatus::kCompleted,
                "hotpath MC trial did not complete");
   const std::string g = k == 1 ? "k1" : "k2";
@@ -306,6 +316,8 @@ int finalize(obs::BenchReport& report, const Accumulator& acc,
   const CovStepsTiming c1 = time_steps_coverage(1, kStepRunsK1);
   const ProfStepsTiming p1 = time_steps_profile(1, kStepRunsK1);
   const LinTiming lt = time_lin(kLinIterations);
+  const StepsTiming w256 = time_steps(kWideK, kWideRunsN256, 256);
+  const StepsTiming w1000 = time_steps(kWideK, kWideRunsN1000, 1000);
 
   const double sps1 = 1000.0 * static_cast<double>(s1.steps) / s1.wall_ms;
   const double sps2 = 1000.0 * static_cast<double>(s2.steps) / s2.wall_ms;
@@ -313,6 +325,9 @@ int finalize(obs::BenchReport& report, const Accumulator& acc,
   const double sps1_prof = 1000.0 * static_cast<double>(p1.steps) / p1.wall_ms;
   const double sps1_b = 1000.0 * static_cast<double>(s1b.steps) / s1b.wall_ms;
   const double cps = 1000.0 * static_cast<double>(lt.checks) / lt.wall_ms;
+  const double sps256 = 1000.0 * static_cast<double>(w256.steps) / w256.wall_ms;
+  const double sps1000 =
+      1000.0 * static_cast<double>(w1000.steps) / w1000.wall_ms;
 
   BLUNT_ASSERT(c1.steps == s1.steps,
                "coverage instrumentation changed the k=1 execution: "
@@ -352,6 +367,12 @@ int finalize(obs::BenchReport& report, const Accumulator& acc,
               100.0 * (s1b.wall_ms - s1.wall_ms) / s1.wall_ms);
   std::printf("%-34s %12lld %10.1f %14.0f\n", "Wing-Gong checks, ABD histories",
               static_cast<long long>(lt.checks), lt.wall_ms, cps);
+  std::printf("%-34s %12lld %10.1f %14.0f\n",
+              "scheduler steps, ABD^2 at n=256",
+              static_cast<long long>(w256.steps), w256.wall_ms, sps256);
+  std::printf("%-34s %12lld %10.1f %14.0f\n",
+              "scheduler steps, ABD^2 at n=1000",
+              static_cast<long long>(w1000.steps), w1000.wall_ms, sps1000);
   print_rule();
   std::printf("MC trial phase: k1 %lld steps / %lld runs, k2 %lld steps / "
               "%lld runs\n",
@@ -368,6 +389,8 @@ int finalize(obs::BenchReport& report, const Accumulator& acc,
   report.set_metric_int("step_runs_k2", kStepRunsK2);
   report.set_metric_int("lin_checks", lt.checks);
   report.set_metric_int("lin_non_linearizable", lt.non_linearizable);
+  report.set_metric_int("throughput_n256.steps", w256.steps);
+  report.set_metric_int("throughput_n1000.steps", w1000.steps);
   report.set_metric_int("mc_steps_k1", acc.counter_or("k1.steps"));
   report.set_metric_int("mc_steps_k2", acc.counter_or("k2.steps"));
   report.set_metric_int("mc_runs_k1", acc.counter_or("k1.runs"));
@@ -407,6 +430,12 @@ int finalize(obs::BenchReport& report, const Accumulator& acc,
   report.add_timing_ms("steps_k1_b", s1b.wall_ms);
   report.add_timing_ms("steps_per_sec_k1_b", sps1_b);
   report.add_timing_ms("lin_checks_per_sec", cps);
+  // Large-n legs: CI's release job divides the n = 256 rate by the frozen
+  // pre-overhaul kernel's (BENCH_scaling_probe_pre_overhaul.json).
+  report.add_timing_ms("throughput_n256.wall", w256.wall_ms);
+  report.add_timing_ms("throughput_n256.steps_per_sec", sps256);
+  report.add_timing_ms("throughput_n1000.wall", w1000.wall_ms);
+  report.add_timing_ms("throughput_n1000.steps_per_sec", sps1000);
 
   // One instrumented full-detail run so the registry section carries the
   // canonical counters like every other report.
@@ -425,9 +454,10 @@ Experiment make_hotpath_experiment() {
   Experiment e;
   e.name = "hotpath";
   e.description =
-      "kernel throughput: scheduler steps/sec (weakener ABD^k at kNone) and "
-      "Wing-Gong lin-checks/sec; timed loops in finalize, parallel MC trial "
-      "phase for the thread-count bit-identity sweep";
+      "kernel throughput: scheduler steps/sec (weakener ABD^k at kNone, "
+      "plus ABD^2 at n=256/n=1000) and Wing-Gong lin-checks/sec; timed "
+      "loops in finalize, parallel MC trial phase for the thread-count "
+      "bit-identity sweep";
   e.default_trials = 600;
   e.default_seed = 0;
   e.seed_derivation = SeedDerivation::kLinear;

@@ -1,5 +1,5 @@
-// E16: the large-n frontier — weakener termination probability and kernel
-// throughput as the ABD replication width n grows to 1024.
+// E16: the large-n frontier — weakener termination probability and
+// per-subsystem cost per step as the ABD replication width n grows to 1024.
 //
 // The theory the paper proves is width-independent: Theorem 4.2's bound on
 // the weakener's bad-outcome probability depends on the preamble iteration
@@ -12,31 +12,34 @@
 // to 1024, with per-group Wilson intervals checked against the per-group
 // Theorem 4.2 bound (the instance is the weakener world itself: r = 1
 // register access per preamble, n_procs = the world's process count,
-// Prob[O] = 1, Prob[O_a] = 1/2).
+// Prob[O] = 1, Prob[O_a] = 1/2). Every run's history is Wing–Gong checked.
 //
-// The finalize additionally times two fixed hotpath-style throughput legs
-// at n = 256 and n = 1000 (k = 2): exact step totals are regression-gated
-// metrics, the steps/sec rates go to timings_ms, and CI's release job
-// computes the n = 256 speedup ratio against the frozen pre-overhaul
-// baseline in bench/baselines/BENCH_scaling_probe_pre_overhaul.json.
+// Under --profile each group also folds its worlds' deterministic profiles
+// (scheduler scan, quorum bookkeeping, delivery, and the lin check, which
+// shares the world's profiler) into a per-group snapshot. The finalize then
+// publishes each group's exact counters (profile.<group>.events_scanned,
+// .quorum_touches, .deliveries, ...) and, for the k = 2 column, the
+// cost-vs-n `scaling_rows` that tools/blunt_report charts. The pre-overhaul
+// kernel's linear rescan is frozen in
+// bench/baselines/BENCH_scaling_probe_pre_overhaul.json; the
+// kernel-throughput legs at n = 256 and 1000 live in `hotpath`.
 //
 // Group layout is a pure function of the trial index (groups are
-// contiguous, equal-size blocks), so merged tallies and counters are
-// bit-identical for any --threads value and across checkpoint/resume.
-#include <chrono>
+// contiguous, equal-size blocks), so merged tallies and counters — exact
+// profile counters included — are bit-identical for any --threads value and
+// across checkpoint/resume.
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "core/bounds.hpp"
 #include "exp/experiment.hpp"
 #include "exp/workloads.hpp"
-#include "objects/abd.hpp"
-#include "programs/weakener.hpp"
+#include "lin/check.hpp"
+#include "lin/history.hpp"
 #include "sim/adversaries.hpp"
-#include "sim/coin.hpp"
 
 namespace blunt::exp {
 namespace {
@@ -47,43 +50,11 @@ constexpr int kNumNs = static_cast<int>(sizeof(kNs) / sizeof(kNs[0]));
 constexpr int kNumKs = static_cast<int>(sizeof(kKs) / sizeof(kKs[0]));
 constexpr int kNumGroups = kNumNs * kNumKs;
 constexpr int kTrialsPerGroup = 8;
-
-// Throughput-leg sizes. Fixed: the step totals are exact metrics.
-constexpr int kThroughputK = 2;
-constexpr int kThroughputRunsN256 = 4;
-constexpr int kThroughputRunsN1000 = 2;
+// The k column the cost-vs-n chart (`scaling_rows`) is drawn for.
+constexpr int kScalingK = 2;
 
 [[nodiscard]] std::string group_name(int n, int k) {
   return "n" + std::to_string(n) + "_k" + std::to_string(k);
-}
-
-/// Weakener over ABD^k at replication width n: pids 0-2 run Algorithm 1,
-/// pids 3..n-1 are replica-only hosts (same world shape as the scaling
-/// probe).
-adversary::McInstance make_wide_weakener(std::uint64_t coin_seed, int n,
-                                         int k) {
-  adversary::McInstance inst;
-  inst.world = std::make_unique<sim::World>(
-      sim::Config{.metrics = false, .trace_detail = sim::TraceDetail::kNone},
-      std::make_unique<sim::SeededCoin>(coin_seed));
-  auto r = std::make_shared<objects::AbdRegister>(
-      "R", *inst.world,
-      objects::AbdRegister::Options{.num_processes = n,
-                                    .preamble_iterations = k});
-  auto c = std::make_shared<objects::AbdRegister>(
-      "C", *inst.world,
-      objects::AbdRegister::Options{.num_processes = n,
-                                    .initial = sim::Value(std::int64_t{-1}),
-                                    .preamble_iterations = k});
-  auto out = std::make_shared<programs::WeakenerOutcome>();
-  programs::install_weakener(*inst.world, *r, *c, *out);
-  for (Pid pid = 3; pid < n; ++pid) {
-    inst.world->add_process("s" + std::to_string(pid),
-                            [](sim::Proc) -> sim::Task<void> { co_return; });
-  }
-  inst.bad = [out] { return out->looped(); };
-  inst.owned = {r, c, out};
-  return inst;
 }
 
 void trial(const TrialContext& ctx, Accumulator& acc) {
@@ -93,51 +64,64 @@ void trial(const TrialContext& ctx, Accumulator& acc) {
   const int n = kNs[g / kNumKs];
   const int k = kKs[g % kNumKs];
 
-  adversary::McInstance inst = make_wide_weakener(ctx.seed, n, k);
+  adversary::McInstance inst =
+      make_abd_weakener(ctx.seed, k, n, /*metrics=*/false,
+                        sim::TraceDetail::kNone, ctx.profile);
   sim::UniformAdversary adv(ctx.seed ^ 0x9e3779b97f4a7c15ULL);
   const sim::RunResult res = inst.world->run(adv);
   BLUNT_ASSERT(res.status == sim::RunStatus::kCompleted,
                "n_sweep weakener run did not complete at n=" << n
                                                              << " k=" << k);
+
+  // The checker shares the world's profiler (null when profiling is off),
+  // so its phase and memo counters land in the group's snapshot.
+  const lin::History h = lin::History::from_world(*inst.world);
+  static const lin::RegisterSpec spec_r;  // R starts at ⊥
+  static const lin::RegisterSpec spec_c{sim::Value(std::int64_t{-1})};
+  const std::vector<std::string>& obj_names = inst.world->object_names();
+  const bool lin_ok = lin::check_all_objects(
+      h,
+      [&obj_names](int id) -> const lin::SequentialSpec* {
+        return obj_names[static_cast<std::size_t>(id)] == "C" ? &spec_c
+                                                              : &spec_r;
+      },
+      nullptr, inst.world->profiler());
+  BLUNT_ASSERT(lin_ok, "n_sweep run not linearizable at n=" << n
+                                                           << " k=" << k);
+
   const std::string gname = group_name(n, k);
   acc.tally(gname + ".bad").add(inst.bad());
   acc.counter(gname + ".runs") += 1;
   acc.counter(gname + ".steps") += res.steps;
+  record_profile(acc, gname, *inst.world);
 }
 
-double now_ms() {
-  using namespace std::chrono;
-  return duration<double, std::milli>(steady_clock::now().time_since_epoch())
-      .count();
-}
-
-struct ThroughputLeg {
-  std::int64_t steps = 0;
-  double wall_ms = 0.0;
-};
-
-/// Hotpath-style timed leg: one warmup run outside the clock, then `runs`
-/// fixed-seed runs inside it. The step total is bit-identity-exact; only
-/// the wall clock is advisory.
-ThroughputLeg time_throughput(int n, int runs) {
-  {
-    adversary::McInstance warm = make_wide_weakener(999, n, kThroughputK);
-    sim::UniformAdversary adv(999);
-    (void)warm.world->run(adv);
+/// The k = kScalingK column as tools/blunt_report's cost-vs-n chart rows:
+/// exact per-step quotients of the profile counters plus the advisory
+/// enabled-scan nanoseconds per step.
+obs::Json scaling_rows(const Accumulator& acc) {
+  obs::JsonArray rows;
+  for (const int n : kNs) {
+    const std::string gname = group_name(n, kScalingK);
+    const obs::ProfileSnapshot& snap = acc.profile(gname);
+    const std::int64_t steps = acc.counter_or(gname + ".steps");
+    const double den = static_cast<double>(steps > 0 ? steps : 1);
+    const auto per_step = [&](obs::ProfCounter c) {
+      return obs::Json(static_cast<double>(snap.counter(c)) / den);
+    };
+    obs::JsonObject row;
+    row["n"] = obs::Json(n);
+    row["steps"] = obs::Json(steps);
+    row["events_scanned_per_step"] =
+        per_step(obs::ProfCounter::kEventsScanned);
+    row["quorum_touches_per_step"] =
+        per_step(obs::ProfCounter::kQuorumTouches);
+    row["deliveries_per_step"] = per_step(obs::ProfCounter::kDeliveries);
+    row["enabled_scan_ns_per_step"] = obs::Json(
+        static_cast<double>(snap.phase(obs::Phase::kEnabledScan).ns) / den);
+    rows.emplace_back(std::move(row));
   }
-  ThroughputLeg leg;
-  const double t0 = now_ms();
-  for (int i = 0; i < runs; ++i) {
-    adversary::McInstance inst = make_wide_weakener(
-        static_cast<std::uint64_t>(i) * 2 + 1, n, kThroughputK);
-    sim::UniformAdversary adv(static_cast<std::uint64_t>(i) * 2 + 2);
-    const sim::RunResult res = inst.world->run(adv);
-    BLUNT_ASSERT(res.status == sim::RunStatus::kCompleted,
-                 "n_sweep throughput run did not complete at n=" << n);
-    leg.steps += res.steps;
-  }
-  leg.wall_ms = now_ms() - t0;
-  return leg;
+  return obs::Json(std::move(rows));
 }
 
 int finalize(obs::BenchReport& report, const Accumulator& acc,
@@ -184,6 +168,14 @@ int finalize(obs::BenchReport& report, const Accumulator& acc,
       report.set_metric(gname + ".bound_value", bound);
       report.set_metric_int(gname + ".runs", runs);
       report.set_metric_int(gname + ".steps", steps);
+      // Profiled runs: the profiler's step counter must agree with the
+      // runs' own step total (report_profile publishes the group's exact
+      // counters as profile.<group>.* metrics).
+      BLUNT_ASSERT(!info.profile ||
+                       acc.profile(gname).counter(
+                           obs::ProfCounter::kStepsExecuted) == steps,
+                   "profiler step count diverged from RunResult at "
+                       << gname);
 
       obs::JsonObject row;
       row["n"] = obs::Json(n);
@@ -210,27 +202,7 @@ int finalize(obs::BenchReport& report, const Accumulator& acc,
                        /*prob_lin=*/1.0, /*prob_atomic=*/0.5, bad.mean());
   }
 
-  // Throughput legs: the overhaul's frontier numbers. Exact step totals
-  // gate regressions; steps/sec is advisory wall clock for the CI release
-  // job's before/after ratio.
-  print_header("throughput (weakener ABD^2, incremental enabled-index)");
-  for (const auto& [n, runs] :
-       {std::pair<int, int>{256, kThroughputRunsN256},
-        std::pair<int, int>{1000, kThroughputRunsN1000}}) {
-    const ThroughputLeg leg = time_throughput(n, runs);
-    const double steps_per_sec =
-        leg.wall_ms > 0.0
-            ? static_cast<double>(leg.steps) / (leg.wall_ms / 1000.0)
-            : 0.0;
-    std::printf("  n=%-5d %8lld steps  %8.1f ms  %12.0f steps/sec\n", n,
-                static_cast<long long>(leg.steps), leg.wall_ms,
-                steps_per_sec);
-    const std::string key = "throughput_n" + std::to_string(n);
-    report.set_metric_int(key + ".steps", leg.steps);
-    report.add_timing_ms(key + ".wall", leg.wall_ms);
-    report.add_timing_ms(key + ".steps_per_sec", steps_per_sec);
-  }
-  print_rule();
+  if (info.profile) report.set_metric_json("scaling_rows", scaling_rows(acc));
 
   report.set_environment_int("trials_per_group", static_cast<int>(
                                  info.trials / kNumGroups));
@@ -239,8 +211,11 @@ int finalize(obs::BenchReport& report, const Accumulator& acc,
   // registry section populated like every other report.
   merge_probe(report, run_instrumented_weakener(/*coin_seed=*/0,
                                                 /*sched_seed=*/0,
-                                                /*k=*/kThroughputK)
+                                                /*k=*/kScalingK)
                           .snapshot);
+  // Profiled runs: profile.* exact metrics, the structured "profile"
+  // section, advisory ns timings and the console cost table.
+  report_profile(report, acc, info);
   return 0;
 }
 
@@ -252,7 +227,8 @@ Experiment make_n_sweep_experiment() {
   e.description =
       "large-n frontier: weakener termination probability over ABD^k at "
       "replication widths 8..1024 with per-group Theorem 4.2 watchdogs, "
-      "plus n=256/n=1000 kernel throughput legs";
+      "every run lin-checked; --profile adds per-group cost-per-step "
+      "counters";
   e.default_trials = kTrialsPerGroup * kNumGroups;
   e.default_seed = 13;
   e.resolve_trials = [](std::int64_t requested) {

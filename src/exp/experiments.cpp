@@ -6,11 +6,9 @@ namespace blunt::exp {
 Experiment make_theorem42_bound_experiment();
 Experiment make_abd_k_sweep_experiment();
 Experiment make_chaos_soak_experiment();
-Experiment make_equivalence_soak_experiment();
 Experiment make_snapshot_blunting_experiment();
 Experiment make_hotpath_experiment();
 Experiment make_fuzz_search_experiment();
-Experiment make_scaling_probe_experiment();
 Experiment make_n_sweep_experiment();
 Experiment make_atomic_baseline_experiment();
 Experiment make_figure1_adversary_experiment();
@@ -23,11 +21,9 @@ void register_builtin_experiments() {
     register_experiment(make_theorem42_bound_experiment());
     register_experiment(make_abd_k_sweep_experiment());
     register_experiment(make_chaos_soak_experiment());
-    register_experiment(make_equivalence_soak_experiment());
     register_experiment(make_snapshot_blunting_experiment());
     register_experiment(make_hotpath_experiment());
     register_experiment(make_fuzz_search_experiment());
-    register_experiment(make_scaling_probe_experiment());
     register_experiment(make_n_sweep_experiment());
     register_experiment(make_atomic_baseline_experiment());
     register_experiment(make_figure1_adversary_experiment());

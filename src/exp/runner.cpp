@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <string>
 
 #include "exp/workloads.hpp"
@@ -15,12 +16,20 @@ namespace {
 
 /// The report-emitting tail of a completed run: finalize hook, engine
 /// provenance + wall-clock stamping, report write + ledger append, and the
-/// optional flamegraph sidecar. Returns the finalize hook's exit code (0
-/// when the experiment has no finalize).
-int finalize_and_report(const Experiment& e, const RunOutput& out) {
-  obs::BenchReport report(e.name);
+/// optional flamegraph sidecar. `report` was created before the trial phase,
+/// so its "total" clock covers the whole run. Returns the finalize hook's
+/// exit code (0 when the experiment has no finalize), or 1 when finalize
+/// threw (nothing is written) or an artifact could not be written.
+int finalize_and_report(const Experiment& e, const RunOutput& out,
+                        obs::BenchReport& report) {
   int rc = 0;
-  if (e.finalize) rc = e.finalize(report, out.merged, out.info);
+  try {
+    if (e.finalize) rc = e.finalize(report, out.merged, out.info);
+  } catch (const std::exception& ex) {
+    std::fprintf(stderr, "%s: finalize threw: %s (no report written)\n",
+                 e.name.c_str(), ex.what());
+    return 1;
+  }
 
   report.set_environment_int("engine_threads", out.info.threads);
   report.set_environment_int("engine_shard_size", out.info.shard_size);
@@ -40,7 +49,7 @@ int finalize_and_report(const Experiment& e, const RunOutput& out) {
     report.add_timing_ms("engine_trials_t" + std::to_string(threads), ms);
   }
 
-  write_report(report);
+  if (!write_report(report)) rc = 1;
 
   // Profiled runs additionally emit a collapsed-stack flamegraph next to the
   // report: one block per named snapshot, rooted at the snapshot name, ready
@@ -60,6 +69,7 @@ int finalize_and_report(const Experiment& e, const RunOutput& out) {
       std::printf("flamegraph: %s\n", flame_path.c_str());
     } catch (const std::exception& ex) {
       std::fprintf(stderr, "flamegraph write FAILED: %s\n", ex.what());
+      rc = 1;
     }
   }
   return rc;
@@ -68,7 +78,14 @@ int finalize_and_report(const Experiment& e, const RunOutput& out) {
 }  // namespace
 
 int run_and_report(const Experiment& e, const RunOptions& opts) {
-  const RunOutput out = run_trials(e, opts);
+  obs::BenchReport report(e.name);  // starts the "total" clock
+  RunOutput out;
+  try {
+    out = run_trials(e, opts);
+  } catch (const std::exception& ex) {
+    std::fprintf(stderr, "%s (no report written)\n", ex.what());
+    return 1;
+  }
 
   if (!out.info.complete) {
     std::printf(
@@ -80,7 +97,7 @@ int run_and_report(const Experiment& e, const RunOptions& opts) {
     return 0;
   }
 
-  return finalize_and_report(e, out);
+  return finalize_and_report(e, out, report);
 }
 
 int run_registered(const std::string& name, const RunOptions& opts) {

@@ -12,7 +12,11 @@
 namespace blunt::exp {
 
 /// Runs `e` under `opts` and writes its report. Returns the process exit
-/// code (the finalize hook's, usually 0).
+/// code: the finalize hook's (usually 0), or 1 when a trial body or the
+/// finalize hook threw (the error, naming the experiment and the trial and
+/// shard, goes to stderr and no report is written) or when the report,
+/// ledger or flamegraph write failed. The report's timings_ms.total covers
+/// the whole run, trial phase included.
 ///
 /// Engine provenance lands in the report's environment section
 /// (engine_threads, engine_shard_size, engine_seed, engine_trials,

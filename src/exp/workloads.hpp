@@ -37,7 +37,11 @@ inline constexpr int kWeakenerNumProcesses = 3;
 
 /// Weakener over ABD^k registers, coin seeded for Monte-Carlo trials.
 /// `num_processes` is the ABD replication width n (not the number of
-/// weakener processes, which Algorithm 1 fixes at three). `metrics` turns on
+/// weakener processes, which Algorithm 1 fixes at three): pids 0-2 run the
+/// weakener and, for n > 3, pids 3..n-1 are replica-only hosts (their
+/// servers answer in atomic message handlers; the process itself just
+/// retires). Deliveries target every pid < n, so the world must know all n
+/// of them; at the paper's n = 3 no host is added. `metrics` turns on
 /// the world's observability registry (reach it via inst.world->metrics()).
 /// `trace_detail` selects how much of the trace is materialized; executions
 /// are bit-identical across levels (see sim::TraceDetail), so MC trial
@@ -65,6 +69,10 @@ inline adversary::McInstance make_abd_weakener(
                                     .preamble_iterations = k});
   auto out = std::make_shared<programs::WeakenerOutcome>();
   programs::install_weakener(*inst.world, *r, *c, *out);
+  for (Pid pid = 3; pid < num_processes; ++pid) {
+    inst.world->add_process("s" + std::to_string(pid),
+                            [](sim::Proc) -> sim::Task<void> { co_return; });
+  }
   inst.bad = [out] { return out->looped(); };
   inst.owned = {r, c, out};
   return inst;
@@ -174,22 +182,25 @@ inline void set_thm42_instance(obs::BenchReport& report, int k, int r, int n,
 /// Writes BENCH_<name>.json, appends the stamped report to the experiment
 /// ledger (BENCH_HISTORY.jsonl; opt out with BLUNT_LEDGER=0), and echoes
 /// where both went (kept on single lines so the human tables above stay the
-/// primary console artifact).
-inline void write_report(obs::BenchReport& report) {
+/// primary console artifact). Returns false when either write failed, so
+/// the caller can fail the run instead of exiting 0 without its artifacts.
+[[nodiscard]] inline bool write_report(obs::BenchReport& report) {
   try {
     const std::string path = report.write();
     std::printf("\nbench report: %s\n", path.c_str());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench report FAILED: %s\n", e.what());
-    return;
+    return false;
   }
-  if (!obs::ledger_enabled()) return;
+  if (!obs::ledger_enabled()) return true;
   try {
     const std::string ledger = obs::append_report(report.to_json());
     std::printf("ledger entry: %s\n", ledger.c_str());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ledger append FAILED: %s\n", e.what());
+    return false;
   }
+  return true;
 }
 
 inline void print_header(const std::string& title) {
@@ -290,9 +301,9 @@ inline void report_coverage(obs::BenchReport& report, const Accumulator& acc,
 // -- Deterministic-profiling conventions --------------------------------------
 //
 // Profiled trials fold each world's ProfileSnapshot into the shard
-// accumulator under a name ("mc" for homogeneous Monte-Carlo trials; per-n
-// names like "n16" for the scaling probe). record_profile is the one call a
-// trial body makes after a profiled run; report_profile is the one call
+// accumulator under a name ("mc" for homogeneous Monte-Carlo trials;
+// per-group names like "n16_k2" for n_sweep). record_profile is the one call
+// a trial body makes after a profiled run; report_profile is the one call
 // finalize makes to publish the merged snapshots: exact counters become
 // `profile.<name>.<counter>` integer metrics (noise-free regression
 // surface), advisory phase timings go to timings_ms, and the full structured
@@ -319,9 +330,8 @@ inline void record_profile(Accumulator& acc, const std::string& name,
 /// the run was not profiled (keeps profile-off reports byte-stable).
 inline void report_profile(obs::BenchReport& report, const Accumulator& acc,
                            const RunInfo& info) {
-  // Gate on recorded snapshots, not info.profile: experiments that profile
-  // unconditionally (scaling_probe) publish either way, while profile-off
-  // runs of opt-in experiments recorded nothing and stay byte-stable.
+  // Gate on recorded snapshots, not info.profile: profile-off runs of
+  // opt-in experiments recorded nothing and stay byte-stable.
   (void)info;
   if (acc.profiles().empty()) return;
   for (const auto& [name, snap] : acc.profiles()) {

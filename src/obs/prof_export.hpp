@@ -26,7 +26,7 @@ namespace blunt::obs {
 /// weight = inclusive ns minus the children's inclusive ns (clamped at 0 —
 /// clock granularity can make a child read longer than its parent). When
 /// `root_frame` is non-empty it is prepended to every stack, which is how
-/// the per-n snapshots of scaling_probe land in one mergeable flamegraph.
+/// the per-group snapshots of n_sweep land in one mergeable flamegraph.
 [[nodiscard]] std::string profile_to_collapsed_stacks(
     const ProfileSnapshot& snap, const std::string& root_frame = "");
 

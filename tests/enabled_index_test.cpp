@@ -78,8 +78,8 @@ Outcome run_weakener(int k, int n, std::uint64_t seed, sim::TraceDetail d,
   programs::WeakenerOutcome out;
   programs::install_weakener(w, r, c, out);
   // Replicas beyond the three weakener pids exist as no-op filler processes,
-  // exactly as the scaling probe builds its worlds: every ABD server pid
-  // must be a World process.
+  // exactly as exp::make_abd_weakener builds wide worlds: every ABD server
+  // pid must be a World process.
   for (Pid pid = 3; pid < n; ++pid) {
     w.add_process("s" + std::to_string(pid),
                   [](sim::Proc) -> sim::Task<void> { co_return; });

@@ -383,14 +383,13 @@ TEST(BuiltinExperiments, Figure1AdversaryWinsBothCoinBranches) {
   EXPECT_TRUE(m.at("tail_strong_holds").as_bool());
 }
 
-TEST(BuiltinExperiments, AllSixAreRegistered) {
+TEST(BuiltinExperiments, AllBuiltinsAreRegistered) {
   register_builtin_experiments();
   const std::vector<std::string> want = {
-      "abd_k_sweep",       "atomic_baseline",  "chaos_soak",
-      "consensus",         "equivalence_soak", "figure1_adversary",
-      "fuzz_search",       "hotpath",          "k_tradeoff",
-      "n_sweep",           "scaling_probe",    "snapshot_blunting",
-      "theorem42_bound",   "vitanyi_il_blunting"};
+      "abd_k_sweep",     "atomic_baseline",    "chaos_soak",
+      "consensus",       "figure1_adversary",  "fuzz_search",
+      "hotpath",         "k_tradeoff",         "n_sweep",
+      "snapshot_blunting", "theorem42_bound",  "vitanyi_il_blunting"};
   std::vector<std::string> names;
   for (const Experiment* e : list_experiments()) names.push_back(e->name);
   EXPECT_EQ(names, want);
@@ -447,6 +446,154 @@ TEST(BuiltinExperiments, FuzzSearchWritesOneReportAndOneLedgerRecord) {
   ASSERT_NE(threads, nullptr);
   EXPECT_EQ(threads->as_int(), 1);
   std::filesystem::remove_all(dir);
+}
+
+/// A fresh, empty directory under the test temp dir, removed on exit.
+class TempDir {
+ public:
+  explicit TempDir(const std::string& tag)
+      : path_(std::string(::testing::TempDir()) + "blunt_engine_" + tag) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~TempDir() { std::filesystem::remove_all(path_); }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+obs::Json load_json(const std::string& path) {
+  std::ifstream in(path);
+  return obs::Json::parse(std::string(std::istreambuf_iterator<char>(in),
+                                      std::istreambuf_iterator<char>()));
+}
+
+/// Runs a registered experiment through run_and_report into `dir` (no
+/// ledger) and returns its exit code.
+int report_into(const std::string& dir, const std::string& name,
+                RunOptions o) {
+  const ScopedEnv env_bench_dir("BLUNT_BENCH_DIR", dir.c_str());
+  const ScopedEnv env_ledger("BLUNT_LEDGER", "0");
+  register_builtin_experiments();
+  return run_and_report(*find_experiment(name), o);
+}
+
+TEST(RunAndReport, TotalCoversTheTrialPhase) {
+  // n_sweep's trial phase dominates its run; a report clock started after
+  // the trial phase would put "total" well below "engine_trials".
+  const TempDir dir("total");
+  RunOptions o = opts_with(2);
+  o.trials = 15;
+  ASSERT_EQ(report_into(dir.path(), "n_sweep", o), 0);
+  const obs::Json t =
+      load_json(dir.path() + "/BENCH_n_sweep.json").at("timings_ms");
+  EXPECT_GE(t.at("total").as_double(), t.at("engine_trials").as_double());
+}
+
+TEST(RunAndReport, NSweepProfileAddsOnlyProfileKeys) {
+  // --profile may add the profile-only keys (profile.* metrics,
+  // scaling_rows, the "profile" section, environment.engine_profile) and
+  // must leave every other key of the report untouched.
+  const TempDir off("nsweep_off");
+  const TempDir on("nsweep_on");
+  RunOptions o = opts_with(2);
+  o.trials = 15;
+  ASSERT_EQ(report_into(off.path(), "n_sweep", o), 0);
+  o.profile = true;
+  ASSERT_EQ(report_into(on.path(), "n_sweep", o), 0);
+  const obs::Json a = load_json(off.path() + "/BENCH_n_sweep.json");
+  const obs::Json b = load_json(on.path() + "/BENCH_n_sweep.json");
+
+  const obs::JsonObject& ma = a.at("metrics").as_object();
+  const obs::JsonObject& mb = b.at("metrics").as_object();
+  for (const auto& [key, value] : ma) {
+    ASSERT_NE(mb.find(key), mb.end()) << key;
+    EXPECT_EQ(mb.at(key).dump(), value.dump()) << key;
+  }
+  int added = 0;
+  for (const auto& [key, value] : mb) {
+    if (ma.count(key) != 0) continue;
+    ++added;
+    EXPECT_TRUE(key.rfind("profile.", 0) == 0 || key == "scaling_rows")
+        << key;
+  }
+  EXPECT_GT(added, 1);
+
+  EXPECT_EQ(a.find("profile"), nullptr);
+  EXPECT_NE(b.find("profile"), nullptr);
+  EXPECT_EQ(a.at("registry").dump(), b.at("registry").dump());
+  obs::JsonObject env_a = a.at("environment").as_object();
+  obs::JsonObject env_b = b.at("environment").as_object();
+  EXPECT_EQ(env_b.at("engine_profile").as_int(), 1);
+  env_b.erase("engine_profile");
+  EXPECT_EQ(obs::Json(env_a).dump(), obs::Json(env_b).dump());
+  for (const auto& [section, value] : b.as_object()) {
+    if (section == "profile" || section == "timings_ms") continue;
+    EXPECT_NE(a.find(section), nullptr) << section;
+  }
+}
+
+/// A cheap experiment whose trial body throws at trial `throw_at` (never
+/// when negative) and whose finalize throws when `finalize_throws`.
+Experiment make_throwing(std::int64_t throw_at, bool finalize_throws) {
+  Experiment e = make_synthetic(64);
+  e.name = "throwing";
+  const auto body = e.trial;
+  e.trial = [body, throw_at](const TrialContext& ctx, Accumulator& acc) {
+    if (ctx.trial_index == throw_at) throw std::runtime_error("boom");
+    body(ctx, acc);
+  };
+  e.finalize = [finalize_throws](obs::BenchReport&, const Accumulator&,
+                                 const RunInfo&) -> int {
+    if (finalize_throws) throw std::runtime_error("finalize boom");
+    return 0;
+  };
+  return e;
+}
+
+TEST(RunAndReport, TrialExceptionFailsTheRunWithoutAReport) {
+  const Experiment e = make_throwing(/*throw_at=*/37, false);
+  RunOptions o = opts_with(4, /*shard_size=*/8);
+  // The engine joins its workers and names the experiment, trial and shard.
+  try {
+    (void)run_trials(e, o);
+    FAIL() << "run_trials swallowed the trial exception";
+  } catch (const std::runtime_error& ex) {
+    const std::string what = ex.what();
+    EXPECT_NE(what.find("throwing: trial 37 (shard 4)"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("boom"), std::string::npos) << what;
+  }
+  const TempDir dir("trial_throw");
+  const ScopedEnv env_bench_dir("BLUNT_BENCH_DIR", dir.path().c_str());
+  const ScopedEnv env_ledger("BLUNT_LEDGER", "0");
+  EXPECT_NE(run_and_report(e, o), 0);
+  EXPECT_FALSE(std::filesystem::exists(dir.path() + "/BENCH_throwing.json"));
+}
+
+TEST(RunAndReport, FinalizeExceptionFailsTheRunWithoutAReport) {
+  const Experiment e = make_throwing(/*throw_at=*/-1, true);
+  const TempDir dir("finalize_throw");
+  const ScopedEnv env_bench_dir("BLUNT_BENCH_DIR", dir.path().c_str());
+  const ScopedEnv env_ledger("BLUNT_LEDGER", "0");
+  EXPECT_NE(run_and_report(e, opts_with(2)), 0);
+  EXPECT_FALSE(std::filesystem::exists(dir.path() + "/BENCH_throwing.json"));
+}
+
+TEST(RunAndReport, FailedReportWriteFailsTheRun) {
+  const Experiment e = make_throwing(/*throw_at=*/-1, false);
+  const TempDir dir("write_fail");
+  const std::string missing = dir.path() + "/no/such/dir";
+  const ScopedEnv env_bench_dir("BLUNT_BENCH_DIR", missing.c_str());
+  const ScopedEnv env_ledger("BLUNT_LEDGER", "0");
+  EXPECT_NE(run_and_report(e, opts_with(2)), 0);
+  // The same run into a directory that exists succeeds.
+  const ScopedEnv env_ok("BLUNT_BENCH_DIR", dir.path().c_str());
+  EXPECT_EQ(run_and_report(e, opts_with(2)), 0);
+  EXPECT_TRUE(std::filesystem::exists(dir.path() + "/BENCH_throwing.json"));
 }
 
 }  // namespace

@@ -221,7 +221,9 @@ TEST(JournalHarness, UntouchedJournalReadsBackEveryRecord) {
 }
 
 TEST(JournalHarness, EveryTruncationKeepsEveryCompleteLine) {
-  TempFile f("source");
+  // Each test owns its files: ctest runs these tests as parallel processes
+  // that share the temp directory.
+  TempFile f("truncation_source");
   const Fixture fx = build_fixture(f);
   TempFile cut("truncated");
   for (std::size_t t = 0; t <= fx.bytes.size(); ++t) {
@@ -240,7 +242,7 @@ TEST(JournalHarness, EveryTruncationKeepsEveryCompleteLine) {
 }
 
 TEST(JournalHarness, EverySingleBitFlipLosesOnlyTheLinesItTouches) {
-  TempFile f("source");
+  TempFile f("bitflip_source");
   const Fixture fx = build_fixture(f);
   TempFile flipped("flipped");
   std::size_t line = 0;  // the line byte i belongs to (its '\n' included)

@@ -71,18 +71,21 @@ TEST(ProfileDeterminism, ExactCountersIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ProfileDeterminism, ScalingProbeIdenticalAcrossThreadCounts) {
+TEST(ProfileDeterminism, NSweepProfileIdenticalAcrossThreadCounts) {
   register_builtin_experiments();
-  const Experiment* e = find_experiment("scaling_probe");
+  const Experiment* e = find_experiment("n_sweep");
   ASSERT_NE(e, nullptr);
-  // 14 trials -> 2 per n group; shard size 2 -> 7 shards to fold.
-  RunOptions base = opts_with(1, /*profile=*/false, /*shard_size=*/2);
-  base.trials = 14;
+  // 15 trials -> 1 per (n, k) group; shard size 2 -> 8 shards to fold.
+  RunOptions base = opts_with(1, /*profile=*/true, /*shard_size=*/2);
+  base.trials = 15;
   const RunOutput ref = run_trials(*e, base);
-  // scaling_probe profiles unconditionally — no --profile needed.
-  ASSERT_FALSE(ref.merged.profiles().empty());
-  EXPECT_GT(
-      ref.merged.profile("n4").counter(obs::ProfCounter::kEventsScanned), 0);
+  ASSERT_EQ(ref.merged.profiles().size(), 15u);
+  EXPECT_GT(ref.merged.profile("n8_k2").counter(
+                obs::ProfCounter::kEventsScanned),
+            0);
+  // The lin check shares the world's profiler.
+  EXPECT_GT(ref.merged.profile("n1024_k4").phase(obs::Phase::kLinCheck).calls,
+            0);
   const std::string want = ref.merged.canonical_dump();
   for (const int threads : {2, 8}) {
     RunOptions o = base;

@@ -407,7 +407,7 @@ struct ProfilePhaseRow {
   double calls = 0, ns = 0;
 };
 
-/// One n-group of scaling_probe's `metrics.scaling_rows` chart data.
+/// One n-group of `metrics.scaling_rows` chart data (n_sweep --profile).
 struct ProfileScalingRow {
   double n = 0, steps = 0;
   double scans = 0, quorum = 0, deliv = 0, scan_ns = 0;  // all per step
@@ -415,8 +415,8 @@ struct ProfileScalingRow {
 
 /// Everything the renderers need from a report's profiling instrumentation
 /// (empty `present` for profile-off runs — the section simply isn't drawn).
-/// `scaling` is non-empty only for scaling_probe reports, which publish the
-/// structured cost-vs-n rows alongside their snapshots.
+/// `scaling` is non-empty only for profiled n_sweep reports, which publish
+/// the structured cost-vs-n rows alongside their snapshots.
 struct ProfileView {
   bool present = false;
   std::vector<ProfilePhaseRow> phases;
@@ -812,7 +812,7 @@ std::string build_html(const std::vector<BenchState>& benches,
   if (any_fuzz) html << "</table>\n";
 
   // Deterministic profiling: per-subsystem cost attribution (exact call
-  // counts, advisory wall time) plus scaling_probe's cost-vs-n chart — the
+  // counts, advisory wall time) plus n_sweep's cost-vs-n chart — the
   // before/after yardstick for scheduler-scan optimizations.
   bool any_prof = false;
   for (const auto& b : benches) {
