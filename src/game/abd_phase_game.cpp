@@ -2,12 +2,11 @@
 
 #include <array>
 #include <bit>
-#include <cstring>
-#include <sstream>
-#include <type_traits>
 #include <vector>
 
 #include "common/assert.hpp"
+#include "game/packed_state.hpp"
+#include "game/weakener_program.hpp"
 
 namespace blunt::game {
 
@@ -16,23 +15,6 @@ namespace {
 constexpr int kMaxK = 4;
 constexpr int kNodes = 3;
 constexpr int kQuorum = 2;
-constexpr int kOps = 4;  // W0, W1, R1, R2
-
-// (value, timestamp) with value -2 = ⊥. All-int fields keep State trivially
-// copyable with no padding, so the canonical encoding is a raw memcpy.
-struct Pair {
-  std::int32_t val = -2;
-  std::int32_t num = 0;
-  std::int32_t pid = 0;
-
-  [[nodiscard]] bool ts_less(const Pair& o) const {
-    return num != o.num ? num < o.num : pid < o.pid;
-  }
-  [[nodiscard]] bool ts_leq(const Pair& o) const {
-    return ts_less(o) || (num == o.num && pid == o.pid);
-  }
-  friend bool operator==(const Pair&, const Pair&) = default;
-};
 
 enum Stage : std::int32_t { kQuery = 0, kChoosing = 1, kUpdate = 2, kDone = 3 };
 
@@ -44,16 +26,6 @@ struct OpState {
   std::array<Pair, kNodes> reply{};     // captured replies (where bit set)
   std::array<Pair, kMaxK> results{};    // finished iteration results
   Pair upd;                             // update payload
-
-  /// Canonical form for merged memoization: dead fields zeroed.
-  void clear_query_bookkeeping() {
-    replied = 0;
-    reply = {};
-  }
-  void canonicalize_done() {
-    *this = OpState{};
-    stage = kDone;
-  }
 };
 
 struct State {
@@ -66,39 +38,7 @@ struct State {
   std::int32_t cl = -3;              // p2's read of C (-3 unset, -1 initial)
   std::int32_t u1 = -3;              // R1 result (-3 unset; -2 ⊥)
   std::int32_t u2 = -3;
-  std::int32_t pad = 0;              // keep size a multiple of 8
-
-  [[nodiscard]] std::string encode() const {
-    std::string s(sizeof(State), '\0');
-    std::memcpy(s.data(), this, sizeof(State));
-    return s;
-  }
-
-  static State decode(const std::string& s) {
-    BLUNT_ASSERT(s.size() == sizeof(State), "bad AbdPhaseWeakenerGame state");
-    State st;
-    std::memcpy(&st, s.data(), sizeof(State));
-    return st;
-  }
 };
-
-static_assert(std::is_trivially_copyable_v<State>);
-static_assert(sizeof(Pair) == 12);
-static_assert(sizeof(OpState) == 4 * 4 + 12 * (kNodes + kMaxK) + 12);
-
-// Value each write op installs; reads install their chosen pair.
-constexpr int kOpWriteValue[kOps] = {0, 1, -1, -1};
-constexpr int kOpPid[kOps] = {0, 1, 2, 2};
-const char* kOpName[kOps] = {"W0", "W1", "R1", "R2"};
-
-bool op_is_read(int o) { return o >= 2; }
-
-// Is op `o` active (its client code is running) in `st`?
-bool op_active(const State& st, int o) {
-  if (st.op[static_cast<std::size_t>(o)].stage == kDone) return false;
-  if (o == 3) return st.op[2].stage == kDone;  // R2 after R1
-  return true;
-}
 
 // After a query result is fully chosen, enter the update stage. `chosen` is
 // taken by value: it may alias op.results, which is cleared here.
@@ -120,7 +60,8 @@ void finish_query(State& st, int o, const Pair& res, int k) {
   OpState& op = st.op[static_cast<std::size_t>(o)];
   op.results[static_cast<std::size_t>(op.iter)] = res;
   ++op.iter;
-  op.clear_query_bookkeeping();
+  op.replied = 0;  // dead fields zeroed: a canonical form for the memo
+  op.reply = {};
   if (op.iter < k) return;  // next query phase
   if (k == 1) {
     enter_update(st, o, op.results[0]);
@@ -132,7 +73,7 @@ void finish_query(State& st, int o, const Pair& res, int k) {
 void finish_update(State& st, int o) {
   OpState& op = st.op[static_cast<std::size_t>(o)];
   const std::int32_t v = op.upd.val;
-  op.canonicalize_done();
+  finish_op(op, kDone);
   if (o == 2) st.u1 = v;
   if (o == 3) st.u2 = v;
 }
@@ -143,24 +84,16 @@ AbdPhaseWeakenerGame::AbdPhaseWeakenerGame(int k) : k_(k) {
   BLUNT_ASSERT(k >= 1 && k <= kMaxK, "k must be in [1," << kMaxK << "]");
 }
 
-std::string AbdPhaseWeakenerGame::initial() const { return State{}.encode(); }
+std::string AbdPhaseWeakenerGame::initial() const { return pack(State{}); }
 
-Expansion AbdPhaseWeakenerGame::expand(const std::string& encoded) const {
-  State st = State::decode(encoded);
+Expansion AbdPhaseWeakenerGame::expand_into(
+    const std::string& encoded, std::vector<std::string>* labels) const {
+  const auto st = unpack<State>(encoded);
   Expansion e;
+  Moves<State> moves(e, labels);
 
   // -- Chance nodes --
-  if (st.flip_pending != 0) {
-    e.kind = Expansion::Kind::kChance;
-    for (int v = 0; v < 2; ++v) {
-      State nx = st;
-      nx.flip_pending = 0;
-      nx.coin = v;
-      e.next.push_back(nx.encode());
-      e.labels.push_back("coin=" + std::to_string(v));
-    }
-    return e;
-  }
+  if (expand_coin(st, e, moves)) return e;
   if (st.choice_pending >= 0) {
     const int o = st.choice_pending;
     e.kind = Expansion::Kind::kChance;
@@ -169,56 +102,21 @@ Expansion AbdPhaseWeakenerGame::expand(const std::string& encoded) const {
       nx.choice_pending = -1;
       enter_update(nx, o, st.op[static_cast<std::size_t>(o)]
                               .results[static_cast<std::size_t>(j)]);
-      e.next.push_back(nx.encode());
-      e.labels.push_back(std::string(kOpName[o]) + " uses iteration " +
-                         std::to_string(j));
+      moves.add(nx, kRegisterOpName[o], " uses iteration ", j);
     }
     return e;
   }
 
-  // -- Terminal shortcuts: the outcome set B is u1 = c ∧ u2 = 1 − c with the
-  // coin relayed intact through C; once enough locals are fixed the value is
-  // decided (for a win the adversary must and always can relay the coin).
-  auto terminal = [&e](const Rational& v) {
-    e.kind = Expansion::Kind::kTerminal;
-    e.terminal_value = v;
-  };
-  if (st.cl != -3) {
-    const bool bad = (st.cl == 0 || st.cl == 1) && st.u1 == st.cl &&
-                     st.u2 == 1 - st.cl;
-    terminal(bad ? Rational(1) : Rational(0));
-    return e;
-  }
-  if (st.u1 == -2) {  // u1 = ⊥ can never match the coin
-    terminal(Rational(0));
-    return e;
-  }
-  if (st.u1 != -3 && st.u2 != -3) {
-    if (!((st.u1 == 0 && st.u2 == 1) || (st.u1 == 1 && st.u2 == 0))) {
-      terminal(Rational(0));
-      return e;
-    }
-    if (st.coin != -1) {
-      // Both reads fixed, coin known: adversary wins iff u1 == coin (it
-      // relays the coin through C; otherwise it loses regardless).
-      terminal(st.u1 == st.coin ? Rational(1) : Rational(0));
-      return e;
-    }
-  }
-  if (st.u1 != -3 && st.coin != -1 && st.u1 != st.coin) {
-    terminal(Rational(0));
+  if (const auto v = register_outcome(st)) {
+    e.terminal_value = *v;
     return e;
   }
 
   // -- Adversary moves --
   e.kind = Expansion::Kind::kAdversary;
-  auto push = [&e](State nx, std::string label) {
-    e.next.push_back(nx.encode());
-    e.labels.push_back(std::move(label));
-  };
 
   for (int o = 0; o < kOps; ++o) {
-    if (!op_active(st, o)) continue;
+    if (!op_active(st, o, kDone)) continue;
     const OpState& op = st.op[static_cast<std::size_t>(o)];
     const auto uo = static_cast<std::size_t>(o);
     switch (op.stage) {
@@ -232,19 +130,20 @@ Expansion AbdPhaseWeakenerGame::expand(const std::string& encoded) const {
           nop.replied |= (1 << n);
           nop.reply[static_cast<std::size_t>(n)] =
               st.node[static_cast<std::size_t>(n)];
-          push(std::move(nx), std::string(kOpName[o]) + " query reply from n" +
-                                  std::to_string(n));
+          moves.add(nx, kRegisterOpName[o], " query reply from n", n);
         }
         // Finish the phase with any achievable max: a captured pair p such
-        // that at least kQuorum captured replies have ts <= ts(p).
-        std::vector<Pair> seen;
+        // that at least kQuorum captured replies have ts <= ts(p). Each
+        // distinct pair is tried once, at its first captured reply.
         for (int n = 0; n < kNodes; ++n) {
           if (!(op.replied & (1 << n))) continue;
           const Pair& p = op.reply[static_cast<std::size_t>(n)];
           bool dup = false;
-          for (const Pair& q : seen) dup = dup || q == p;
+          for (int m = 0; m < n; ++m) {
+            dup = dup || ((op.replied & (1 << m)) &&
+                          op.reply[static_cast<std::size_t>(m)] == p);
+          }
           if (dup) continue;
-          seen.push_back(p);
           int dominated = 0;
           for (int m = 0; m < kNodes; ++m) {
             if (!(op.replied & (1 << m))) continue;
@@ -253,11 +152,8 @@ Expansion AbdPhaseWeakenerGame::expand(const std::string& encoded) const {
           if (dominated >= kQuorum) {
             State nx = st;
             finish_query(nx, o, p, k_);
-            std::ostringstream lbl;
-            lbl << kOpName[o] << " query phase " << op.iter
-                << " -> (v=" << p.val << ",ts=(" << p.num << ',' << p.pid
-                << "))";
-            push(std::move(nx), lbl.str());
+            moves.add(nx, kRegisterOpName[o], " query phase ", op.iter,
+                      " -> (v=", p.val, ",ts=(", p.num, ',', p.pid, "))");
           }
         }
         break;
@@ -265,8 +161,7 @@ Expansion AbdPhaseWeakenerGame::expand(const std::string& encoded) const {
       case kChoosing: {
         State nx = st;
         nx.choice_pending = o;
-        push(std::move(nx),
-             std::string(kOpName[o]) + " draws its iteration choice");
+        moves.add(nx, kRegisterOpName[o], " draws its iteration choice");
         break;
       }
       case kUpdate: {
@@ -277,13 +172,12 @@ Expansion AbdPhaseWeakenerGame::expand(const std::string& encoded) const {
           nop.processed |= (1 << n);
           Pair& cell = nx.node[static_cast<std::size_t>(n)];
           if (cell.ts_less(op.upd)) cell = op.upd;
-          push(std::move(nx), std::string(kOpName[o]) + " update at n" +
-                                  std::to_string(n));
+          moves.add(nx, kRegisterOpName[o], " update at n", n);
         }
         if (std::popcount(static_cast<unsigned>(op.processed)) >= kQuorum) {
           State nx = st;
           finish_update(nx, o);
-          push(std::move(nx), std::string(kOpName[o]) + " returns");
+          moves.add(nx, kRegisterOpName[o], " returns");
         }
         break;
       }
@@ -293,22 +187,7 @@ Expansion AbdPhaseWeakenerGame::expand(const std::string& encoded) const {
   }
 
   // Program steps of p1 (coin, then C := coin) and p2 (read C after R2).
-  if (st.op[1].stage == kDone && st.coin == -1) {
-    State nx = st;
-    nx.flip_pending = 1;
-    push(std::move(nx), "p1 flips the coin");
-  }
-  if (st.coin != -1 && st.c_written == 0) {
-    State nx = st;
-    nx.c_written = 1;
-    push(std::move(nx), "p1: C := coin");
-  }
-  if (st.op[3].stage == kDone && st.cl == -3) {
-    State nx = st;
-    nx.cl = st.c_written != 0 ? st.coin : -1;
-    push(std::move(nx), "p2: c := C");
-  }
-
+  add_program_steps(st, kDone, moves);
   BLUNT_ASSERT(!e.next.empty(),
                "AbdPhaseWeakenerGame stuck (no moves, no terminal)");
   return e;

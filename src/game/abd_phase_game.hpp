@@ -34,17 +34,19 @@
 
 namespace blunt::game {
 
-class AbdPhaseWeakenerGame final : public GameModel {
+class AbdPhaseWeakenerGame final : public LabeledGameModel {
  public:
   /// k = preamble iterations (1 = original ABD). 1 <= k <= 4 (state size).
   explicit AbdPhaseWeakenerGame(int k);
 
   [[nodiscard]] std::string initial() const override;
-  [[nodiscard]] Expansion expand(const std::string& state) const override;
 
   [[nodiscard]] int k() const { return k_; }
 
  private:
+  Expansion expand_into(const std::string& state,
+                        std::vector<std::string>* labels) const override;
+
   int k_;
 };
 

@@ -1,11 +1,13 @@
 #include "game/snapshot_game.hpp"
 
 #include <array>
-#include <cstring>
+#include <optional>
 #include <string>
-#include <type_traits>
+#include <vector>
 
 #include "common/assert.hpp"
+#include "game/packed_state.hpp"
+#include "game/weakener_program.hpp"
 
 namespace blunt::game {
 
@@ -13,7 +15,6 @@ namespace {
 
 constexpr int kMaxK = 3;
 constexpr int kCells = 3;
-constexpr int kOps = 4;  // U0, U1, S1, S2
 
 struct Cell {
   std::int32_t value = 0;
@@ -59,11 +60,6 @@ struct OpState {
   ScanLoop loop;
   std::array<View, kMaxK> results{};
   View chosen;  // scans: view to return; updates: embedded scan result
-
-  void canonicalize_done() {
-    *this = OpState{};
-    stage = kDone;
-  }
 };
 
 struct State {
@@ -76,33 +72,9 @@ struct State {
   std::int32_t cl = -3;
   std::int32_t v1_class = -1;  // classify(v1), -1 = S1 not returned
   std::int32_t v2_class = -1;
-  std::int32_t pad = 0;
-
-  [[nodiscard]] std::string encode() const {
-    std::string s(sizeof(State), '\0');
-    std::memcpy(s.data(), this, sizeof(State));
-    return s;
-  }
-  static State decode(const std::string& s) {
-    BLUNT_ASSERT(s.size() == sizeof(State), "bad SnapshotWeakenerGame state");
-    State st;
-    std::memcpy(&st, s.data(), sizeof(State));
-    return st;
-  }
 };
 
-static_assert(std::is_trivially_copyable_v<State>);
-
-constexpr int kOpPid[kOps] = {0, 1, 2, 2};
 const char* kOpName[kOps] = {"U0", "U1", "S1", "S2"};
-
-bool op_is_scan(int o) { return o >= 2; }
-
-bool op_active(const State& st, int o) {
-  if (st.op[static_cast<std::size_t>(o)].stage == kDone) return false;
-  if (o == 3) return st.op[2].stage == kDone;  // S2 after S1 returns
-  return true;
-}
 
 // The scan loop finished one collect; decide: return a view, or loop.
 // Returns true (and sets *out) if the double collect succeeded.
@@ -139,7 +111,7 @@ bool evaluate_collect(OpState& op, View* out) {
 void finish_scan_loop(State& st, int o, const View& view, int k) {
   OpState& op = st.op[static_cast<std::size_t>(o)];
   op.loop.reset();
-  if (!op_is_scan(o)) {
+  if (!op_is_read(o)) {
     // Update: the embedded scan ran once; go write.
     op.chosen = view;
     op.stage = kWrite;
@@ -161,9 +133,30 @@ void finish_scan_loop(State& st, int o, const View& view, int k) {
 void finish_return(State& st, int o) {
   OpState& op = st.op[static_cast<std::size_t>(o)];
   const std::int32_t cls = classify(op.chosen);
-  op.canonicalize_done();
+  finish_op(op, kDone);
   if (o == 2) st.v1_class = cls;
   if (o == 3) st.v2_class = cls;
+}
+
+// The value of `st` once it is decided, else nullopt. bad: classify(v1) =
+// only_c and classify(v2) = both, with c the coin relayed intact through C.
+std::optional<Rational> outcome(const State& st) {
+  const auto only = [](std::int32_t c) { return c == 0 ? 1 : 2; };
+  if (st.cl != -3) {
+    const bool bad = (st.cl == 0 || st.cl == 1) &&
+                     st.v1_class == only(st.cl) && st.v2_class == 3;
+    return Rational(bad ? 1 : 0);
+  }
+  // none/both can't match a coin
+  if (st.v1_class == 0 || st.v1_class == 3) return Rational(0);
+  if (st.v1_class != -1 && st.v2_class != -1) {
+    if (st.v2_class != 3) return Rational(0);
+    if (st.coin != -1) return Rational(st.v1_class == only(st.coin) ? 1 : 0);
+  }
+  if (st.v1_class != -1 && st.coin != -1 && st.v1_class != only(st.coin)) {
+    return Rational(0);
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -172,23 +165,15 @@ SnapshotWeakenerGame::SnapshotWeakenerGame(int k) : k_(k) {
   BLUNT_ASSERT(k >= 1 && k <= kMaxK, "k must be in [1," << kMaxK << "]");
 }
 
-std::string SnapshotWeakenerGame::initial() const { return State{}.encode(); }
+std::string SnapshotWeakenerGame::initial() const { return pack(State{}); }
 
-Expansion SnapshotWeakenerGame::expand(const std::string& encoded) const {
-  State st = State::decode(encoded);
+Expansion SnapshotWeakenerGame::expand_into(
+    const std::string& encoded, std::vector<std::string>* labels) const {
+  const auto st = unpack<State>(encoded);
   Expansion e;
+  Moves<State> moves(e, labels);
 
-  if (st.flip_pending != 0) {
-    e.kind = Expansion::Kind::kChance;
-    for (int v = 0; v < 2; ++v) {
-      State nx = st;
-      nx.flip_pending = 0;
-      nx.coin = v;
-      e.next.push_back(nx.encode());
-      e.labels.push_back("coin=" + std::to_string(v));
-    }
-    return e;
-  }
+  if (expand_coin(st, e, moves)) return e;
   if (st.choice_pending >= 0) {
     const int o = st.choice_pending;
     e.kind = Expansion::Kind::kChance;
@@ -200,54 +185,20 @@ Expansion SnapshotWeakenerGame::expand(const std::string& encoded) const {
       op.results = {};
       op.iter = 0;
       op.stage = kReturn;
-      e.next.push_back(nx.encode());
-      e.labels.push_back(std::string(kOpName[o]) + " uses iteration " +
-                         std::to_string(j));
+      moves.add(nx, kOpName[o], " uses iteration ", j);
     }
     return e;
   }
 
-  auto terminal = [&e](const Rational& v) {
-    e.kind = Expansion::Kind::kTerminal;
-    e.terminal_value = v;
-  };
-  // bad: v1_class == only_cc and v2_class == both with cc = coin relayed.
-  if (st.cl != -3) {
-    const bool bad = (st.cl == 0 || st.cl == 1) &&
-                     st.v1_class == (st.cl == 0 ? 1 : 2) &&
-                     st.v2_class == 3;
-    terminal(bad ? Rational(1) : Rational(0));
-    return e;
-  }
-  if (st.v1_class == 0 || st.v1_class == 3) {  // none/both can't match a coin
-    terminal(Rational(0));
-    return e;
-  }
-  if (st.v1_class != -1 && st.v2_class != -1) {
-    if (st.v2_class != 3) {
-      terminal(Rational(0));
-      return e;
-    }
-    if (st.coin != -1) {
-      const bool can_win = st.v1_class == (st.coin == 0 ? 1 : 2);
-      terminal(can_win ? Rational(1) : Rational(0));
-      return e;
-    }
-  }
-  if (st.v1_class != -1 && st.coin != -1 &&
-      st.v1_class != (st.coin == 0 ? 1 : 2)) {
-    terminal(Rational(0));
+  if (const auto v = outcome(st)) {
+    e.terminal_value = *v;
     return e;
   }
 
   e.kind = Expansion::Kind::kAdversary;
-  auto push = [&e](State nx, std::string label) {
-    e.next.push_back(nx.encode());
-    e.labels.push_back(std::move(label));
-  };
 
   for (int o = 0; o < kOps; ++o) {
-    if (!op_active(st, o)) continue;
+    if (!op_active(st, o, kDone)) continue;
     const OpState& op = st.op[static_cast<std::size_t>(o)];
     switch (op.stage) {
       case kScanning: {
@@ -257,22 +208,19 @@ Expansion SnapshotWeakenerGame::expand(const std::string& encoded) const {
         nop.loop.partial[static_cast<std::size_t>(op.loop.idx)] =
             st.cell[static_cast<std::size_t>(op.loop.idx)];
         ++nop.loop.idx;
-        std::string label = std::string(kOpName[o]) + " reads M[" +
-                            std::to_string(op.loop.idx) + "]";
         if (nop.loop.idx == kCells) {
           View view;
           if (evaluate_collect(nop, &view)) {
             finish_scan_loop(nx, o, view, k_);
           }
         }
-        push(std::move(nx), std::move(label));
+        moves.add(nx, kOpName[o], " reads M[", op.loop.idx, "]");
         break;
       }
       case kChoosing: {
         State nx = st;
         nx.choice_pending = o;
-        push(std::move(nx),
-             std::string(kOpName[o]) + " draws its iteration choice");
+        moves.add(nx, kOpName[o], " draws its iteration choice");
         break;
       }
       case kWrite: {
@@ -281,15 +229,14 @@ Expansion SnapshotWeakenerGame::expand(const std::string& encoded) const {
         Cell& cell = nx.cell[static_cast<std::size_t>(kOpPid[o])];
         cell.value = 1;
         cell.seq += 1;
-        nx.op[static_cast<std::size_t>(o)].canonicalize_done();
-        push(std::move(nx), std::string(kOpName[o]) + " writes M[" +
-                                std::to_string(kOpPid[o]) + "]");
+        finish_op(nx.op[static_cast<std::size_t>(o)], kDone);
+        moves.add(nx, kOpName[o], " writes M[", kOpPid[o], "]");
         break;
       }
       case kReturn: {
         State nx = st;
         finish_return(nx, o);
-        push(std::move(nx), std::string(kOpName[o]) + " returns");
+        moves.add(nx, kOpName[o], " returns");
         break;
       }
       default:
@@ -297,22 +244,7 @@ Expansion SnapshotWeakenerGame::expand(const std::string& encoded) const {
     }
   }
 
-  if (st.op[1].stage == kDone && st.coin == -1) {
-    State nx = st;
-    nx.flip_pending = 1;
-    push(std::move(nx), "p1 flips the coin");
-  }
-  if (st.coin != -1 && st.c_written == 0) {
-    State nx = st;
-    nx.c_written = 1;
-    push(std::move(nx), "p1: C := coin");
-  }
-  if (st.op[3].stage == kDone && st.cl == -3) {
-    State nx = st;
-    nx.cl = st.c_written != 0 ? st.coin : -1;
-    push(std::move(nx), "p2: c := C");
-  }
-
+  add_program_steps(st, kDone, moves);
   BLUNT_ASSERT(!e.next.empty(),
                "SnapshotWeakenerGame stuck (no moves, no terminal)");
   return e;

@@ -27,17 +27,19 @@
 
 namespace blunt::game {
 
-class SnapshotWeakenerGame final : public GameModel {
+class SnapshotWeakenerGame final : public LabeledGameModel {
  public:
   /// k = Scan preamble iterations, 1 <= k <= 3.
   explicit SnapshotWeakenerGame(int k);
 
   [[nodiscard]] std::string initial() const override;
-  [[nodiscard]] Expansion expand(const std::string& state) const override;
 
   [[nodiscard]] int k() const { return k_; }
 
  private:
+  Expansion expand_into(const std::string& state,
+                        std::vector<std::string>* labels) const override;
+
   int k_;
 };
 

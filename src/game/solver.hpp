@@ -32,25 +32,53 @@ struct Expansion {
   /// Successor states (canonical encodings). Adversary: max over these.
   /// Chance: uniform average over these.
   std::vector<std::string> next;
-  /// Optional human-readable move labels, parallel to `next` (for the
-  /// strategy extractor); may be empty.
-  std::vector<std::string> labels;
 };
 
 /// A game model over canonically-encoded states. Encodings must be
-/// injective: equal strings == equal states.
+/// injective: equal strings == equal states. The models in this directory
+/// all encode with game/packed_state.hpp.
 class GameModel {
  public:
   virtual ~GameModel() = default;
 
   [[nodiscard]] virtual std::string initial() const = 0;
   [[nodiscard]] virtual Expansion expand(const std::string& state) const = 0;
+  /// Human-readable labels of `state`'s moves, parallel to expand().next,
+  /// for the strategy extractor; may be empty. Only the states of the
+  /// extracted line of play are labeled, so the solve builds no labels.
+  [[nodiscard]] virtual std::vector<std::string> move_labels(
+      const std::string& /*state*/) const {
+    return {};
+  }
+};
+
+/// A model that labels its moves on request: one private expand_into() body
+/// serves expand() (no label vector, so a solve builds no strings but keys)
+/// and move_labels().
+class LabeledGameModel : public GameModel {
+ public:
+  [[nodiscard]] Expansion expand(const std::string& state) const final {
+    return expand_into(state, nullptr);
+  }
+  [[nodiscard]] std::vector<std::string> move_labels(
+      const std::string& state) const final {
+    std::vector<std::string> labels;
+    (void)expand_into(state, &labels);
+    return labels;
+  }
+
+ private:
+  /// Expands `state`; appends one label per successor if `labels` is set.
+  virtual Expansion expand_into(const std::string& state,
+                                std::vector<std::string>* labels) const = 0;
 };
 
 struct SolveStats {
   std::size_t states_visited = 0;   // distinct memoized states
   std::size_t expansions = 0;       // expand() calls
   int max_depth = 0;
+  std::size_t memo_probes = 0;      // memo lookups (one per value() call)
+  std::size_t memo_hits = 0;        // lookups answered by the memo
 };
 
 /// Exact value of the game: sup over adversary strategies of the expected

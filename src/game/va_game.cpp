@@ -1,11 +1,12 @@
 #include "game/va_game.hpp"
 
 #include <array>
-#include <cstring>
 #include <string>
-#include <type_traits>
+#include <vector>
 
 #include "common/assert.hpp"
+#include "game/packed_state.hpp"
+#include "game/weakener_program.hpp"
 
 namespace blunt::game {
 
@@ -13,17 +14,6 @@ namespace {
 
 constexpr int kMaxK = 4;
 constexpr int kCells = 3;
-constexpr int kOps = 4;  // W0, W1, R1, R2
-
-struct Pair {
-  std::int32_t val = -2;  // -2 = ⊥
-  std::int32_t num = 0;
-  std::int32_t pid = 0;
-
-  [[nodiscard]] bool ts_less(const Pair& o) const {
-    return num != o.num ? num < o.num : pid < o.pid;
-  }
-};
 
 enum Stage : std::int32_t {
   kCollect = 0,   // reading cells in order
@@ -39,11 +29,6 @@ struct OpState {
   Pair running;            // max so far in this iteration
   std::array<Pair, kMaxK> results{};
   Pair chosen;
-
-  void canonicalize_done() {
-    *this = OpState{};
-    stage = kDone;
-  }
 };
 
 struct State {
@@ -56,34 +41,7 @@ struct State {
   std::int32_t cl = -3;
   std::int32_t u1 = -3;
   std::int32_t u2 = -3;
-  std::int32_t pad = 0;
-
-  [[nodiscard]] std::string encode() const {
-    std::string s(sizeof(State), '\0');
-    std::memcpy(s.data(), this, sizeof(State));
-    return s;
-  }
-  static State decode(const std::string& s) {
-    BLUNT_ASSERT(s.size() == sizeof(State), "bad VaPhaseWeakenerGame state");
-    State st;
-    std::memcpy(&st, s.data(), sizeof(State));
-    return st;
-  }
 };
-
-static_assert(std::is_trivially_copyable_v<State>);
-
-constexpr int kOpWriteValue[kOps] = {0, 1, -1, -1};
-constexpr int kOpPid[kOps] = {0, 1, 2, 2};
-const char* kOpName[kOps] = {"W0", "W1", "R1", "R2"};
-
-bool op_is_read(int o) { return o >= 2; }
-
-bool op_active(const State& st, int o) {
-  if (st.op[static_cast<std::size_t>(o)].stage == kDone) return false;
-  if (o == 3) return st.op[2].stage == kDone;  // R2 after R1 returns
-  return true;
-}
 
 // `chosen` by value: may alias op.results, which is cleared.
 void enter_tail(State& st, int o, Pair chosen) {
@@ -124,7 +82,7 @@ void finish_tail(State& st, int o) {
     // write always lands.
     cell = next;
   }
-  op.canonicalize_done();
+  finish_op(op, kDone);
 }
 
 }  // namespace
@@ -133,23 +91,15 @@ VaPhaseWeakenerGame::VaPhaseWeakenerGame(int k) : k_(k) {
   BLUNT_ASSERT(k >= 1 && k <= kMaxK, "k must be in [1," << kMaxK << "]");
 }
 
-std::string VaPhaseWeakenerGame::initial() const { return State{}.encode(); }
+std::string VaPhaseWeakenerGame::initial() const { return pack(State{}); }
 
-Expansion VaPhaseWeakenerGame::expand(const std::string& encoded) const {
-  State st = State::decode(encoded);
+Expansion VaPhaseWeakenerGame::expand_into(
+    const std::string& encoded, std::vector<std::string>* labels) const {
+  const auto st = unpack<State>(encoded);
   Expansion e;
+  Moves<State> moves(e, labels);
 
-  if (st.flip_pending != 0) {
-    e.kind = Expansion::Kind::kChance;
-    for (int v = 0; v < 2; ++v) {
-      State nx = st;
-      nx.flip_pending = 0;
-      nx.coin = v;
-      e.next.push_back(nx.encode());
-      e.labels.push_back("coin=" + std::to_string(v));
-    }
-    return e;
-  }
+  if (expand_coin(st, e, moves)) return e;
   if (st.choice_pending >= 0) {
     const int o = st.choice_pending;
     e.kind = Expansion::Kind::kChance;
@@ -158,51 +108,20 @@ Expansion VaPhaseWeakenerGame::expand(const std::string& encoded) const {
       nx.choice_pending = -1;
       enter_tail(nx, o, st.op[static_cast<std::size_t>(o)]
                             .results[static_cast<std::size_t>(j)]);
-      e.next.push_back(nx.encode());
-      e.labels.push_back(std::string(kOpName[o]) + " uses iteration " +
-                         std::to_string(j));
+      moves.add(nx, kRegisterOpName[o], " uses iteration ", j);
     }
     return e;
   }
 
-  // Terminal shortcuts (same outcome structure as the ABD game).
-  auto terminal = [&e](const Rational& v) {
-    e.kind = Expansion::Kind::kTerminal;
-    e.terminal_value = v;
-  };
-  if (st.cl != -3) {
-    const bool bad = (st.cl == 0 || st.cl == 1) && st.u1 == st.cl &&
-                     st.u2 == 1 - st.cl;
-    terminal(bad ? Rational(1) : Rational(0));
-    return e;
-  }
-  if (st.u1 == -2) {
-    terminal(Rational(0));
-    return e;
-  }
-  if (st.u1 != -3 && st.u2 != -3) {
-    if (!((st.u1 == 0 && st.u2 == 1) || (st.u1 == 1 && st.u2 == 0))) {
-      terminal(Rational(0));
-      return e;
-    }
-    if (st.coin != -1) {
-      terminal(st.u1 == st.coin ? Rational(1) : Rational(0));
-      return e;
-    }
-  }
-  if (st.u1 != -3 && st.coin != -1 && st.u1 != st.coin) {
-    terminal(Rational(0));
+  if (const auto v = register_outcome(st)) {
+    e.terminal_value = *v;
     return e;
   }
 
   e.kind = Expansion::Kind::kAdversary;
-  auto push = [&e](State nx, std::string label) {
-    e.next.push_back(nx.encode());
-    e.labels.push_back(std::move(label));
-  };
 
   for (int o = 0; o < kOps; ++o) {
-    if (!op_active(st, o)) continue;
+    if (!op_active(st, o, kDone)) continue;
     const OpState& op = st.op[static_cast<std::size_t>(o)];
     switch (op.stage) {
       case kCollect: {
@@ -212,24 +131,21 @@ Expansion VaPhaseWeakenerGame::expand(const std::string& encoded) const {
         const Pair& cell = st.val[static_cast<std::size_t>(op.cell)];
         if (nop.running.ts_less(cell)) nop.running = cell;
         ++nop.cell;
-        std::string label = std::string(kOpName[o]) + " reads Val[" +
-                            std::to_string(op.cell) + "]";
         if (nop.cell == kCells) finish_collect_iteration(nx, o, k_);
-        push(std::move(nx), std::move(label));
+        moves.add(nx, kRegisterOpName[o], " reads Val[", op.cell, "]");
         break;
       }
       case kChoosing: {
         State nx = st;
         nx.choice_pending = o;
-        push(std::move(nx),
-             std::string(kOpName[o]) + " draws its iteration choice");
+        moves.add(nx, kRegisterOpName[o], " draws its iteration choice");
         break;
       }
       case kTail: {
         State nx = st;
         finish_tail(nx, o);
-        push(std::move(nx), std::string(kOpName[o]) +
-                                (op_is_read(o) ? " returns" : " writes+returns"));
+        moves.add(nx, kRegisterOpName[o],
+                  op_is_read(o) ? " returns" : " writes+returns");
         break;
       }
       default:
@@ -237,22 +153,7 @@ Expansion VaPhaseWeakenerGame::expand(const std::string& encoded) const {
     }
   }
 
-  if (st.op[1].stage == kDone && st.coin == -1) {
-    State nx = st;
-    nx.flip_pending = 1;
-    push(std::move(nx), "p1 flips the coin");
-  }
-  if (st.coin != -1 && st.c_written == 0) {
-    State nx = st;
-    nx.c_written = 1;
-    push(std::move(nx), "p1: C := coin");
-  }
-  if (st.op[3].stage == kDone && st.cl == -3) {
-    State nx = st;
-    nx.cl = st.c_written != 0 ? st.coin : -1;
-    push(std::move(nx), "p2: c := C");
-  }
-
+  add_program_steps(st, kDone, moves);
   BLUNT_ASSERT(!e.next.empty(),
                "VaPhaseWeakenerGame stuck (no moves, no terminal)");
   return e;

@@ -24,17 +24,19 @@
 
 namespace blunt::game {
 
-class VaPhaseWeakenerGame final : public GameModel {
+class VaPhaseWeakenerGame final : public LabeledGameModel {
  public:
   /// k = preamble iterations, 1 <= k <= 4.
   explicit VaPhaseWeakenerGame(int k);
 
   [[nodiscard]] std::string initial() const override;
-  [[nodiscard]] Expansion expand(const std::string& state) const override;
 
   [[nodiscard]] int k() const { return k_; }
 
  private:
+  Expansion expand_into(const std::string& state,
+                        std::vector<std::string>* labels) const override;
+
   int k_;
 };
 

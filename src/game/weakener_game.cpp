@@ -1,11 +1,10 @@
 #include "game/weakener_game.hpp"
 
 #include <array>
-#include <cstring>
-#include <sstream>
-#include <type_traits>
+#include <vector>
 
 #include "common/assert.hpp"
+#include "game/packed_state.hpp"
 
 namespace blunt::game {
 
@@ -13,36 +12,16 @@ namespace {
 
 // Register values: -2 = ⊥ (R's initial), -1 = C's initial, 0/1 written.
 struct State {
-  int pc0 = 0;   // p0: 0 = to write R:=0, 1 = done
-  int pc1 = 0;   // p1: 0 = to write R:=1, 1 = to flip, 2 = to write C, 3 done
-  int pc2 = 0;   // p2: 0 = read u1, 1 = read u2, 2 = read C, 3 done
-  int r = -2;    // register R
-  int c = -1;    // register C
-  int u1 = -3;   // p2 locals (-3 = unset)
-  int u2 = -3;
-  int cl = -3;
-  int coin = -3;       // p1's flip result
-  bool flipping = false;  // chance node marker
-
-  [[nodiscard]] std::string encode() const {
-    std::ostringstream os;
-    os << pc0 << '|' << pc1 << '|' << pc2 << '|' << r << '|' << c << '|'
-       << u1 << '|' << u2 << '|' << cl << '|' << coin << '|' << flipping;
-    return os.str();
-  }
-
-  static State decode(const std::string& s) {
-    State st;
-    std::istringstream is(s);
-    char sep = 0;
-    int flipping_int = 0;
-    is >> st.pc0 >> sep >> st.pc1 >> sep >> st.pc2 >> sep >> st.r >> sep >>
-        st.c >> sep >> st.u1 >> sep >> st.u2 >> sep >> st.cl >> sep >>
-        st.coin >> sep >> flipping_int;
-    BLUNT_ASSERT(!is.fail(), "bad AtomicWeakenerGame state: " << s);
-    st.flipping = flipping_int != 0;
-    return st;
-  }
+  std::int32_t pc0 = 0;  // p0: 0 = to write R:=0, 1 = done
+  std::int32_t pc1 = 0;  // p1: 0 = write R:=1, 1 = flip, 2 = write C, 3 done
+  std::int32_t pc2 = 0;  // p2: 0 = read u1, 1 = read u2, 2 = read C, 3 done
+  std::int32_t r = -2;   // register R
+  std::int32_t c = -1;   // register C
+  std::int32_t u1 = -3;  // p2 locals (-3 = unset)
+  std::int32_t u2 = -3;
+  std::int32_t cl = -3;
+  std::int32_t coin = -3;     // p1's flip result
+  std::int32_t flipping = 0;  // chance node marker
 
   [[nodiscard]] bool all_done() const {
     return pc0 == 1 && pc1 == 3 && pc2 == 3;
@@ -56,21 +35,22 @@ struct State {
 
 }  // namespace
 
-std::string AtomicWeakenerGame::initial() const { return State{}.encode(); }
+std::string AtomicWeakenerGame::initial() const { return pack(State{}); }
 
-Expansion AtomicWeakenerGame::expand(const std::string& encoded) const {
-  const State st = State::decode(encoded);
+Expansion AtomicWeakenerGame::expand_into(
+    const std::string& encoded, std::vector<std::string>* labels) const {
+  const auto st = unpack<State>(encoded);
   Expansion e;
+  Moves<State> moves(e, labels);
 
-  if (st.flipping) {
+  if (st.flipping != 0) {
     e.kind = Expansion::Kind::kChance;
     for (int v = 0; v < 2; ++v) {
       State nx = st;
-      nx.flipping = false;
+      nx.flipping = 0;
       nx.coin = v;
       nx.pc1 = 2;
-      e.next.push_back(nx.encode());
-      e.labels.push_back("coin=" + std::to_string(v));
+      moves.add(nx, "coin=", v);
     }
     return e;
   }
@@ -82,67 +62,50 @@ Expansion AtomicWeakenerGame::expand(const std::string& encoded) const {
   }
 
   e.kind = Expansion::Kind::kAdversary;
-  auto push = [&e](State nx, std::string label) {
-    e.next.push_back(nx.encode());
-    e.labels.push_back(std::move(label));
-  };
 
   if (st.pc0 == 0) {
     State nx = st;
     nx.r = 0;
     nx.pc0 = 1;
-    push(nx, "p0: R:=0");
+    moves.add(nx, "p0: R:=0");
   }
-  switch (st.pc1) {
-    case 0: {
-      State nx = st;
-      nx.r = 1;
-      nx.pc1 = 1;
-      push(nx, "p1: R:=1");
-      break;
+  if (st.pc1 < 3) {
+    State nx = st;
+    switch (st.pc1) {
+      case 0:
+        nx.r = 1;
+        nx.pc1 = 1;
+        moves.add(nx, "p1: R:=1");
+        break;
+      case 1:
+        nx.flipping = 1;
+        moves.add(nx, "p1: flip");
+        break;
+      default:
+        nx.c = st.coin;
+        nx.pc1 = 3;
+        moves.add(nx, "p1: C:=coin");
     }
-    case 1: {
-      State nx = st;
-      nx.flipping = true;
-      push(nx, "p1: flip");
-      break;
-    }
-    case 2: {
-      State nx = st;
-      nx.c = st.coin;
-      nx.pc1 = 3;
-      push(nx, "p1: C:=coin");
-      break;
-    }
-    default:
-      break;
   }
-  switch (st.pc2) {
-    case 0: {
-      State nx = st;
-      nx.u1 = st.r;
-      nx.pc2 = 1;
-      push(nx, "p2: u1:=R");
-      break;
+  if (st.pc2 < 3) {
+    State nx = st;
+    nx.pc2 = st.pc2 + 1;
+    switch (st.pc2) {
+      case 0:
+        nx.u1 = st.r;
+        moves.add(nx, "p2: u1:=R");
+        break;
+      case 1:
+        nx.u2 = st.r;
+        moves.add(nx, "p2: u2:=R");
+        break;
+      default:
+        nx.cl = st.c;
+        moves.add(nx, "p2: c:=C");
     }
-    case 1: {
-      State nx = st;
-      nx.u2 = st.r;
-      nx.pc2 = 2;
-      push(nx, "p2: u2:=R");
-      break;
-    }
-    case 2: {
-      State nx = st;
-      nx.cl = st.c;
-      nx.pc2 = 3;
-      push(nx, "p2: c:=C");
-      break;
-    }
-    default:
-      break;
   }
-  BLUNT_ASSERT(!e.next.empty(), "no moves but not all done: " << encoded);
+  BLUNT_ASSERT(!e.next.empty(),
+               "AtomicWeakenerGame stuck (no moves, not all done)");
   return e;
 }
 
@@ -176,27 +139,12 @@ struct RoundsState {
     coin.fill(-3);
   }
 
-  [[nodiscard]] std::string encode() const {
-    std::string s(sizeof(RoundsState), '\0');
-    std::memcpy(s.data(), this, sizeof(RoundsState));
-    return s;
-  }
-  static RoundsState decode(const std::string& s) {
-    BLUNT_ASSERT(s.size() == sizeof(RoundsState),
-                 "bad AtomicRoundsWeakenerGame state");
-    RoundsState st;
-    std::memcpy(&st, s.data(), sizeof(RoundsState));
-    return st;
-  }
-
   [[nodiscard]] bool round_bad(int t) const {
     const auto ut = static_cast<std::size_t>(t);
     return (cl[ut] == 0 || cl[ut] == 1) && u1[ut] == cl[ut] &&
            u2[ut] == 1 - cl[ut];
   }
 };
-
-static_assert(std::is_trivially_copyable_v<RoundsState>);
 
 }  // namespace
 
@@ -207,12 +155,14 @@ AtomicRoundsWeakenerGame::AtomicRoundsWeakenerGame(int rounds)
 }
 
 std::string AtomicRoundsWeakenerGame::initial() const {
-  return RoundsState{}.encode();
+  return pack(RoundsState{});
 }
 
-Expansion AtomicRoundsWeakenerGame::expand(const std::string& encoded) const {
-  const RoundsState st = RoundsState::decode(encoded);
+Expansion AtomicRoundsWeakenerGame::expand_into(
+    const std::string& encoded, std::vector<std::string>* labels) const {
+  const auto st = unpack<RoundsState>(encoded);
   Expansion e;
+  Moves<RoundsState> moves(e, labels);
 
   if (st.flipping != 0) {
     const int t = st.pc1 / 3;
@@ -222,9 +172,7 @@ Expansion AtomicRoundsWeakenerGame::expand(const std::string& encoded) const {
       nx.flipping = 0;
       nx.coin[static_cast<std::size_t>(t)] = v;
       ++nx.pc1;
-      e.next.push_back(nx.encode());
-      e.labels.push_back("coin[" + std::to_string(t) + "]=" +
-                         std::to_string(v));
+      moves.add(nx, "coin[", t, "]=", v);
     }
     return e;
   }
@@ -240,16 +188,12 @@ Expansion AtomicRoundsWeakenerGame::expand(const std::string& encoded) const {
   }
 
   e.kind = Expansion::Kind::kAdversary;
-  auto push = [&e](RoundsState nx, std::string label) {
-    e.next.push_back(nx.encode());
-    e.labels.push_back(std::move(label));
-  };
 
   if (st.pc0 < rounds_) {
     RoundsState nx = st;
     nx.r[static_cast<std::size_t>(st.pc0)] = 0;
     ++nx.pc0;
-    push(std::move(nx), "p0: R[t]:=0");
+    moves.add(nx, "p0: R[t]:=0");
   }
   if (st.pc1 < 3 * rounds_) {
     const int t = st.pc1 / 3;
@@ -259,16 +203,16 @@ Expansion AtomicRoundsWeakenerGame::expand(const std::string& encoded) const {
       case 0:
         nx.r[ut] = 1;
         ++nx.pc1;
-        push(std::move(nx), "p1: R[t]:=1");
+        moves.add(nx, "p1: R[t]:=1");
         break;
       case 1:
         nx.flipping = 1;
-        push(std::move(nx), "p1: flip");
+        moves.add(nx, "p1: flip");
         break;
       case 2:
         nx.c[ut] = st.coin[ut];
         ++nx.pc1;
-        push(std::move(nx), "p1: C[t]:=coin");
+        moves.add(nx, "p1: C[t]:=coin");
         break;
     }
   }
@@ -288,7 +232,7 @@ Expansion AtomicRoundsWeakenerGame::expand(const std::string& encoded) const {
         break;
     }
     ++nx.pc2;
-    push(std::move(nx), "p2 step");
+    moves.add(nx, "p2 step");
   }
   BLUNT_ASSERT(!e.next.empty(), "rounds game stuck");
   return e;

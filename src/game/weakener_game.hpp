@@ -12,10 +12,13 @@
 
 namespace blunt::game {
 
-class AtomicWeakenerGame final : public GameModel {
+class AtomicWeakenerGame final : public LabeledGameModel {
  public:
   [[nodiscard]] std::string initial() const override;
-  [[nodiscard]] Expansion expand(const std::string& state) const override;
+
+ private:
+  Expansion expand_into(const std::string& state,
+                        std::vector<std::string>* labels) const override;
 };
 
 /// The T-round weakener over atomic registers (programs/rounds.hpp): T
@@ -24,15 +27,17 @@ class AtomicWeakenerGame final : public GameModel {
 /// 1 − (1/2)^T — per-round wins are independent optimal coin-matches, and
 /// drifting rounds give the adversary nothing extra — which validates the
 /// Section 7 per-round composition exactly (in the atomic case).
-class AtomicRoundsWeakenerGame final : public GameModel {
+class AtomicRoundsWeakenerGame final : public LabeledGameModel {
  public:
   /// 1 <= rounds <= 3 (state size).
   explicit AtomicRoundsWeakenerGame(int rounds);
 
   [[nodiscard]] std::string initial() const override;
-  [[nodiscard]] Expansion expand(const std::string& state) const override;
 
  private:
+  Expansion expand_into(const std::string& state,
+                        std::vector<std::string>* labels) const override;
+
   int rounds_;
 };
 

@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 
 namespace blunt::obs {
@@ -164,9 +165,19 @@ int read_journal(const std::string& path,
                  const std::function<bool(const Json&)>& accept) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return 0;
+  const std::string bytes{std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()};
+  return read_journal_bytes(bytes, accept);
+}
+
+int read_journal_bytes(std::string_view bytes,
+                       const std::function<bool(const Json&)>& accept) {
   int skipped = 0;
-  std::string line;
-  while (std::getline(in, line)) {
+  while (!bytes.empty()) {
+    const std::size_t eol = bytes.find('\n');
+    const std::string line(bytes.substr(0, eol));
+    bytes.remove_prefix(eol == std::string_view::npos ? bytes.size()
+                                                      : eol + 1);
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
     bool ok = false;
     if (const std::optional<Json> j = decode_journal_line(line)) {

@@ -40,6 +40,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "obs/json.hpp"
 
@@ -92,12 +93,18 @@ void locked_append(const std::string& path, const std::string& line,
 [[nodiscard]] std::optional<Json> decode_journal_line(const std::string& line);
 
 /// The one journal reader: decodes every line of `path` in file order and
-/// hands each record to `accept`. Blank lines are ignored; a line that does
-/// not decode, that `accept` rejects (returns false), or on which `accept`
-/// throws is skipped. Returns the number of skipped lines; a missing file
-/// reads as an empty journal (0).
+/// hands each record to `accept` (read_journal_bytes over the file's
+/// bytes). A missing file reads as an empty journal (0).
 int read_journal(const std::string& path,
                  const std::function<bool(const Json&)>& accept);
+
+/// The reader over a journal's bytes: lines are split at '\n' (a final
+/// line without one — a torn tail — is still decoded). Blank lines are
+/// ignored; a line that does not decode, that `accept` rejects (returns
+/// false), or on which `accept` throws is skipped. Returns the number of
+/// skipped lines.
+int read_journal_bytes(std::string_view bytes,
+                       const std::function<bool(const Json&)>& accept);
 
 /// Process-global count of lock-acquisition retries (contended or
 /// interrupted attempts) since start/reset — the `obs.lock_retries`

@@ -5,15 +5,19 @@
 // against every truncation point and every single-bit flip of the file:
 // it never throws, it never returns a record that is not byte-equal to one
 // that was written, and every complete line before a truncation survives.
+// The exhaustive sweeps read in-memory bytes (read_journal_bytes, the
+// reader behind read_journal); one case of each also goes through a file.
 #include "obs/lockfile.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/accumulator.hpp"
@@ -142,14 +146,26 @@ bool decode_any(const Json& j) {
   return false;
 }
 
-/// The records read_journal hands back from `path`, as compact JSON.
-std::vector<std::string> read_back(const std::string& path) {
-  std::vector<std::string> got;
-  (void)read_journal(path, [&got](const Json& j) {
+/// Keeps each record the journal loaders would accept, as compact JSON.
+std::function<bool(const Json&)> collect(std::vector<std::string>& got) {
+  return [&got](const Json& j) {
     if (!decode_any(j)) return false;
     got.push_back(j.dump());
     return true;
-  });
+  };
+}
+
+/// The records read_journal hands back from the file `path`.
+std::vector<std::string> read_back(const std::string& path) {
+  std::vector<std::string> got;
+  (void)read_journal(path, collect(got));
+  return got;
+}
+
+/// The records read_journal_bytes hands back from `bytes`.
+std::vector<std::string> read_back_bytes(std::string_view bytes) {
+  std::vector<std::string> got;
+  (void)read_journal_bytes(bytes, collect(got));
   return got;
 }
 
@@ -225,26 +241,32 @@ TEST(JournalHarness, EveryTruncationKeepsEveryCompleteLine) {
   // that share the temp directory.
   TempFile f("truncation_source");
   const Fixture fx = build_fixture(f);
-  TempFile cut("truncated");
-  for (std::size_t t = 0; t <= fx.bytes.size(); ++t) {
-    write_bytes(cut.path(), fx.bytes.substr(0, t));
-    std::vector<std::string> got;
-    ASSERT_NO_THROW(got = read_back(cut.path())) << "cut at " << t;
-    // Lines whose '\n' landed survive; so does a line cut exactly at its
-    // '\n' (it is whole). Nothing else, and nothing altered.
+  // Lines whose '\n' landed survive; so does a line cut exactly at its
+  // '\n' (it is whole). Nothing else, and nothing altered.
+  const auto want_at = [&fx](std::size_t t) {
     std::size_t keep = 0;
     while (keep < fx.newline.size() && fx.newline[keep] < t) ++keep;
     if (keep < fx.newline.size() && fx.newline[keep] == t) ++keep;
-    const std::vector<std::string> want(fx.written.begin(),
-                                        fx.written.begin() + keep);
-    ASSERT_EQ(got, want) << "cut at " << t;
+    return std::vector<std::string>(fx.written.begin(),
+                                    fx.written.begin() + keep);
+  };
+  for (std::size_t t = 0; t <= fx.bytes.size(); ++t) {
+    std::vector<std::string> got;
+    ASSERT_NO_THROW(got = read_back_bytes(std::string_view(fx.bytes).substr(
+                        0, t)))
+        << "cut at " << t;
+    ASSERT_EQ(got, want_at(t)) << "cut at " << t;
   }
+  // One torn tail through the file reader: mid-way into the third line.
+  TempFile cut("truncated");
+  const std::size_t t = (fx.newline[1] + fx.newline[2]) / 2;
+  write_bytes(cut.path(), fx.bytes.substr(0, t));
+  EXPECT_EQ(read_back(cut.path()), want_at(t));
 }
 
 TEST(JournalHarness, EverySingleBitFlipLosesOnlyTheLinesItTouches) {
   TempFile f("bitflip_source");
   const Fixture fx = build_fixture(f);
-  TempFile flipped("flipped");
   std::size_t line = 0;  // the line byte i belongs to (its '\n' included)
   for (std::size_t i = 0; i < fx.bytes.size(); ++i) {
     while (fx.newline[line] < i) ++line;
@@ -256,16 +278,23 @@ TEST(JournalHarness, EverySingleBitFlipLosesOnlyTheLinesItTouches) {
     for (std::size_t k = 0; k < fx.written.size(); ++k) {
       if (k < line || k > last_lost) want.push_back(fx.written[k]);
     }
+    std::string bytes = fx.bytes;
     for (int bit = 0; bit < 8; ++bit) {
-      std::string bytes = fx.bytes;
-      bytes[i] = static_cast<char>(bytes[i] ^ (1 << bit));
-      write_bytes(flipped.path(), bytes);
+      bytes[i] = static_cast<char>(fx.bytes[i] ^ (1 << bit));
       std::vector<std::string> got;
-      ASSERT_NO_THROW(got = read_back(flipped.path()))
+      ASSERT_NO_THROW(got = read_back_bytes(bytes))
           << "byte " << i << " bit " << bit;
       ASSERT_EQ(got, want) << "byte " << i << " bit " << bit;
     }
   }
+  // One flip through the file reader: a bit of the second record's CRC.
+  TempFile flipped("flipped");
+  std::string bytes = fx.bytes;
+  bytes[fx.newline[1] - 3] ^= 1;
+  write_bytes(flipped.path(), bytes);
+  std::vector<std::string> want = fx.written;
+  want.erase(want.begin() + 1);
+  EXPECT_EQ(read_back(flipped.path()), want);
 }
 
 }  // namespace

@@ -11,8 +11,12 @@ namespace {
 TEST(SnapshotGame, ExactValueIsAtomicForEveryK) {
   // The Afek double-collect discipline denies the snapshot-weakener
   // adversary any gain over atomic snapshots: exact value 1/2 at every k.
+  const std::size_t states[] = {2688, 6487, 10524};
   for (const int k : {1, 2, 3}) {
-    EXPECT_EQ(solve(SnapshotWeakenerGame(k)), Rational(1, 2)) << "k=" << k;
+    SolveStats stats;
+    EXPECT_EQ(solve(SnapshotWeakenerGame(k), &stats), Rational(1, 2))
+        << "k=" << k;
+    EXPECT_EQ(stats.states_visited, states[k - 1]) << "k=" << k;
   }
 }
 

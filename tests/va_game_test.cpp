@@ -14,8 +14,12 @@ TEST(VaPhase, ExactValueIsAtomicForEveryK) {
   // adversary value equals the atomic 1/2 for every k. (A VA write's tail is
   // a single atomic step, so the adversary cannot split its visibility
   // across replicas after observing the coin, unlike ABD's update phase.)
+  const std::size_t states[] = {940, 5421, 12692};
   for (const int k : {1, 2, 3}) {
-    EXPECT_EQ(solve(VaPhaseWeakenerGame(k)), Rational(1, 2)) << "k=" << k;
+    SolveStats stats;
+    EXPECT_EQ(solve(VaPhaseWeakenerGame(k), &stats), Rational(1, 2))
+        << "k=" << k;
+    EXPECT_EQ(stats.states_visited, states[k - 1]) << "k=" << k;
   }
 }
 
@@ -24,9 +28,8 @@ TEST(VaPhase, MatchesAtomicGameValue) {
 }
 
 TEST(VaPhase, StrictlyBelowAbdAtEveryK) {
-  // The same program over ABD^k is strictly worse (k=3 omitted: ~14s):
-  // object choice matters.
-  for (const int k : {1, 2}) {
+  // The same program over ABD^k is strictly worse: object choice matters.
+  for (const int k : {1, 2, 3}) {
     EXPECT_LT(solve(VaPhaseWeakenerGame(k)),
               solve(AbdPhaseWeakenerGame(k)))
         << "k=" << k;
